@@ -36,7 +36,6 @@ class CommandSpec:
     seed: int = 0
     tol: float = 1e-10
     resolution: int = 100
-    format: str = "csv"
     input_path: str | None = None
     output_path: str | None = None
     family: str | None = None
@@ -87,7 +86,7 @@ def _run_pdf(spec: CommandSpec) -> int:
 
 
 def _run_grid(spec: CommandSpec) -> int:
-    grid = pdf_grid(spec.alpha, resolution=spec.resolution)
+    grid = pdf_grid(spec.alpha, resolution=spec.resolution, tol=spec.tol)
     _emit(_csv_text(("x", "y", "density"), grid), spec.output_path)
     return 0
 
@@ -314,7 +313,6 @@ def _spec_from_args(parser, args) -> CommandSpec:
     elif args.subcommand == "fit":
         kwargs.update(input_path=args.input_path,
                       match_third_order=args.match_third_order,
-                      format="json",
                       fit_options=FitOptions(restarts=max(args.restarts, 1),
                                              max_iterations=max(args.max_iterations, 1),
                                              objective_tolerance=args.objective_tolerance,
@@ -334,8 +332,6 @@ def _spec_from_args(parser, args) -> CommandSpec:
                          "--pdf-at is not supported")
         kwargs.update(family=family, shapes=args.shapes, rates=args.rates,
                       n=args.n, seed=args.seed, point=args.point)
-    elif args.subcommand == "moments":
-        kwargs.update(format="json")
 
     return CommandSpec(**kwargs)
 

@@ -36,7 +36,8 @@ import numpy as np
 
 from .construction import AlphaBivariate
 from .errors import ConvergenceError, DomainError
-from .special import IntegrandSpec, appell_f1, hyp2f1, integrate_unit, ln_beta_multi
+from .special import (IntegrandSpec, appell_f1, hyp2f1, integrate_unit,
+                      integrate_unit_batch, ln_beta_multi)
 
 __all__ = [
     "Region",
@@ -62,9 +63,10 @@ class Region(enum.Enum):
     OUT_OF_DOMAIN = "OUT_OF_DOMAIN"
 
 
-def _sum_minus_one(x: float, y: float) -> float:
-    # exact sign of x + y - 1 for the given floats: two-sum residual, then
-    # Sterbenz-exact subtraction of 1 from the rounded sum
+def _sum_minus_one(x, y):
+    # exact sign of x + y - 1 for the given floats (or elementwise for
+    # arrays): two-sum residual, then Sterbenz-exact subtraction of 1 from
+    # the rounded sum
     s = x + y
     b = s - x
     err = (x - (s - b)) + (y - b)
@@ -93,6 +95,9 @@ def classify_region(x: float, y: float) -> Region:
 
 
 _METHODS = ("closed_form", "quadrature")
+
+# lattice cells per batched kernel call: bounds the (cells x nodes) arrays
+_GRID_CHUNK = 256
 
 
 class DensityValue:
@@ -134,6 +139,58 @@ def _require_inside(alpha: AlphaBivariate, x: float, y: float) -> Region:
     return region
 
 
+def _share_integrand(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.ndarray):
+    """The share-range integral, rescaled to (0, 1), at points that share
+    one sign pattern of (d, x - y), with d = x + y - 1 from
+    ``_sum_minus_one``.
+
+    Every factor that vanishes at an endpoint moves into the endpoint
+    exponents, which the pattern fixes; the rest stays in the smooth part.
+    Returns ``(p, q, scale, smooth)``: the exponents, the length of each
+    point's share range, and ``smooth(t, rows)``, the smooth factor of the
+    points ``rows`` as a (rows x nodes) array.  The integral diverges when
+    ``p`` or ``q`` is at most -1.
+    """
+    d0, s0 = d[0], x[0] - y[0]
+    if d0 > 0.0:
+        lo, scale = d, 1.0 - np.maximum(x, y)
+    else:
+        lo, scale = 0.0, np.minimum(x, y)
+
+    # which factors vanish at the endpoints of the rescaled integral
+    sing_share = d0 <= 0.0         # u -> 0 at t = 0
+    sing_comp = d0 >= 0.0          # 1-x-y+u -> 0 at t = 0
+    sing_x = s0 <= 0.0             # x-u -> 0 at t = 1
+    sing_y = s0 >= 0.0             # y-u -> 0 at t = 1
+
+    p = (alpha.a11 - 1.0 if sing_share else 0.0) + (alpha.a00 - 1.0 if sing_comp else 0.0)
+    q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
+
+    # per-point bases as columns, so they broadcast against the node row
+    smooth_terms = []
+    if not sing_share:
+        smooth_terms.append((lo[:, None], alpha.a11 - 1.0))        # u = lo + scale*t
+    if not sing_comp:
+        smooth_terms.append((-d[:, None], alpha.a00 - 1.0))        # 1-x-y+u = -d + scale*t
+    down_terms = []
+    if not sing_x:
+        down_terms.append(((x - lo)[:, None], alpha.a10 - 1.0))    # x-u = (x-lo) - scale*t
+    if not sing_y:
+        down_terms.append(((y - lo)[:, None], alpha.a01 - 1.0))
+    scale_col = scale[:, None]
+
+    def smooth(t, rows):
+        sc = scale_col[rows]
+        out = np.ones((sc.shape[0], t.size))
+        for base, e in smooth_terms:
+            out = out * np.power(base[rows] + sc * t, e)
+        for base, e in down_terms:
+            out = out * np.power(base[rows] - sc * t, e)
+        return out
+
+    return p, q, scale, smooth
+
+
 def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
                    tol: float = 1e-10) -> DensityValue:
     """Density by direct tanh-sinh integration over the share range.
@@ -141,48 +198,17 @@ def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
     The integration variable is rescaled to (0, 1); every factor that
     vanishes at an endpoint moves into the declared endpoint exponents, the
     rest stays in the smooth part.  Returns the infinity marker where the
-    integral diverges.
+    integral diverges.  This is the integrand ``pdf_grid`` uses, on a batch
+    of one point.
     """
     x, y = float(x), float(y)
     _require_inside(alpha, x, y)
-    d = _sum_minus_one(x, y)
-
-    lo = d if d > 0.0 else 0.0
-    hi = min(x, y)
-    scale = (1.0 - max(x, y)) if d > 0.0 else hi
-
-    # which factors vanish at the endpoints of the rescaled integral
-    sing_share = d <= 0.0          # u -> 0 at t = 0
-    sing_comp = d >= 0.0           # 1-x-y+u -> 0 at t = 0
-    sing_x = x <= y                # x-u -> 0 at t = 1
-    sing_y = y <= x                # y-u -> 0 at t = 1
-
-    p = (alpha.a11 - 1.0 if sing_share else 0.0) + (alpha.a00 - 1.0 if sing_comp else 0.0)
-    q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
+    p, q, scale, smooth = _share_integrand(
+        alpha, np.array([x]), np.array([y]), np.array([_sum_minus_one(x, y)]))
     if p <= -1.0 or q <= -1.0:
         return DensityValue(math.inf, "quadrature")
-
-    smooth_terms = []
-    if not sing_share:
-        smooth_terms.append((lo, alpha.a11 - 1.0))          # u = lo + scale*t
-    if not sing_comp:
-        smooth_terms.append((-d, alpha.a00 - 1.0))          # 1-x-y+u = -d + scale*t
-    down_terms = []
-    if not sing_x:
-        down_terms.append((x - lo, alpha.a10 - 1.0))        # x-u = (x-lo) - scale*t
-    if not sing_y:
-        down_terms.append((y - lo, alpha.a01 - 1.0))
-
-    def smooth(t):
-        out = np.ones_like(t)
-        for base, e in smooth_terms:
-            out = out * np.power(base + scale * t, e)
-        for base, e in down_terms:
-            out = out * np.power(base - scale * t, e)
-        return out
-
-    result = integrate_unit(IntegrandSpec(p, q, smooth), tol=tol)
-    ln_pref = (1.0 + p + q) * math.log(scale) - ln_beta_multi(alpha.as_array())
+    result = integrate_unit(IntegrandSpec(p, q, lambda t: smooth(t, [0])), tol=tol)
+    ln_pref = (1.0 + p + q) * math.log(scale[0]) - ln_beta_multi(alpha.as_array())
     pref = math.exp(ln_pref)
     return DensityValue(pref * result.value, "quadrature", pref * result.abs_error_estimate)
 
@@ -309,24 +335,37 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
         return pdf_quadrature(alpha, x, y, tol=tol)
 
 
-def pdf_grid(alpha: AlphaBivariate, resolution: int = 100) -> np.ndarray:
+def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
+             tol: float = 1e-10) -> np.ndarray:
     """Density on the cell-midpoint lattice ((i+1/2)/R, (j+1/2)/R).
 
     Returns an (R*R, 3) array of rows (x, y, density), the first coordinate
     varying slowest.  Cells sitting exactly on a divergent cut line hold the
-    infinity marker.
+    infinity marker.  Cells are grouped by their sign pattern of
+    (x + y - 1, x - y), and each group runs through the quadrature route in
+    batched kernel calls; a cell the kernel leaves unconverged at ``tol``
+    goes through ``pdf``.
     """
     resolution = int(resolution)
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution!r}")
-    out = np.empty((resolution * resolution, 3))
-    k = 0
-    for i in range(resolution):
-        xv = (i + 0.5) / resolution
-        for j in range(resolution):
-            yv = (j + 0.5) / resolution
-            out[k, 0] = xv
-            out[k, 1] = yv
-            out[k, 2] = pdf(alpha, xv, yv).value
-            k += 1
-    return out
+    axis = (np.arange(resolution) + 0.5) / resolution
+    x = np.repeat(axis, resolution)
+    y = np.tile(axis, resolution)
+    d = _sum_minus_one(x, y)
+    density = np.empty(x.size)
+    ln_b = ln_beta_multi(alpha.as_array())
+    pattern = 3 * np.sign(d) + np.sign(x - y)
+    for key in np.unique(pattern):
+        cells = np.flatnonzero(pattern == key)
+        for start in range(0, cells.size, _GRID_CHUNK):
+            rows = cells[start:start + _GRID_CHUNK]
+            p, q, scale, smooth = _share_integrand(alpha, x[rows], y[rows], d[rows])
+            if p <= -1.0 or q <= -1.0:
+                density[rows] = math.inf
+                continue
+            batch = integrate_unit_batch(p, q, smooth, rows.size, tol)
+            density[rows] = np.exp((1.0 + p + q) * np.log(scale) - ln_b) * batch.value
+            for i in rows[~batch.converged]:
+                density[i] = pdf(alpha, x[i], y[i], tol=tol).value
+    return np.column_stack((x, y, density))

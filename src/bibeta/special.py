@@ -7,6 +7,10 @@ converges at a near-spectral rate even when the endpoint powers are singular,
 because the node density grows double-exponentially towards both endpoints.
 ``t`` and ``1 - t`` are both derived in log form straight from ``u``, so the
 endpoint powers stay accurate where ``t`` itself would round to 0 or 1.
+Those node tables depend only on the level and the node caps, so they are
+built once, on first use, and shared: ``integrate_unit_batch`` sweeps many
+integrands with the same endpoint exponents over them at once, and
+``integrate_unit`` is a batch of one.
 
 Gauss and Appell hypergeometric values are computed from their Euler integral
 representations through that one quadrature path.  Power-series evaluation is
@@ -15,6 +19,7 @@ deliberately not used here; the test suite keeps independent series oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -29,6 +34,8 @@ __all__ = [
     "ln_gamma",
     "ln_beta_multi",
     "integrate_unit",
+    "integrate_unit_batch",
+    "BatchQuadrature",
     "hyp2f1",
     "appell_f1",
 ]
@@ -114,21 +121,106 @@ def _node_cap(h: float, c: float, budget: int) -> int:
     return min(int(u_max / h), budget)
 
 
-def _level_sum(k: np.ndarray, h: float, p1: float, q1: float, smooth) -> float:
-    u = k * h
+@functools.lru_cache(maxsize=256)
+def _node_table(level: int, k_left: int, k_right: int):
+    """Read-only ``(log t, log(1-t), log(pi cosh u), clipped t)`` at the
+    nodes level ``level`` adds: every integer node at level 0, the odd
+    multiples of the halved mesh after that.  They depend on nothing else,
+    so every integrand at that level and those caps shares them."""
+    if level == 0:
+        k = np.arange(-k_left, k_right + 1)
+    else:
+        k = np.concatenate((np.arange(-1, -k_left - 1, -2), np.arange(1, k_right + 1, 2)))
+    u = k * 2.0 ** -level
     g = math.pi * np.sinh(u)
     log_t = -np.logaddexp(0.0, -g)       # log sigmoid(g)
     log_1mt = -np.logaddexp(0.0, g)
-    lw = p1 * log_t + q1 * log_1mt + np.log(math.pi * np.cosh(u))
-    w = np.exp(lw)
+    log_jac = np.log(math.pi * np.cosh(u))
     t = np.clip(np.exp(log_t), _T_LO, _T_HI)
+    for a in (log_t, log_1mt, log_jac, t):
+        a.flags.writeable = False
+    return log_t, log_1mt, log_jac, t
+
+
+def _level_sum(level, p1, q1, smooth, rows, budget):
+    """Sum of weight times smooth factor over the nodes level ``level``
+    adds, one entry per row in ``rows`` (or one for all of them), and the
+    number of those nodes."""
+    h = 2.0 ** -level
+    log_t, log_1mt, log_jac, t = _node_table(level, _node_cap(h, p1, budget),
+                                             _node_cap(h, q1, budget))
+    w = np.exp(p1 * log_t + q1 * log_1mt + log_jac)
     with np.errstate(invalid="ignore", over="ignore"):
-        sm = np.asarray(smooth(t), dtype=float)
+        sm = np.asarray(smooth(t, rows), dtype=float)
         vals = np.where(w > 0.0, w * sm, 0.0)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise DomainError("integrand is not finite at interior nodes; "
                           "declare endpoint singularities via the exponents")
-    return float(np.sum(vals))
+    return vals.sum(axis=-1), t.size
+
+
+@dataclass(frozen=True)
+class BatchQuadrature:
+    """Per-row results of ``integrate_unit_batch``; a row that ran out of
+    levels holds its best estimate and ``converged`` False."""
+
+    value: np.ndarray
+    abs_error_estimate: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+
+
+def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right: float,
+                         smooth: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                         n_rows: int, tol: float = 1e-10, *, max_levels: int = 10,
+                         max_nodes_per_level: int = 2 ** 14) -> BatchQuadrature:
+    """Integrate ``t**p * (1-t)**q * smooth(t, row)`` over (0, 1) for
+    ``n_rows`` integrands that share the endpoint exponents ``p`` and ``q``.
+
+    ``smooth(t, active)`` gets the level's node array and the indices of the
+    rows still iterating, and returns their smooth factors as an
+    ``(active.size, t.size)`` array, or anything that broadcasts to it.  It
+    is only called with nodes strictly inside (0, 1) and must be finite
+    there.  Each row stops on the rule of ``integrate_unit``; only the rows
+    that have not stopped go on to finer levels.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    for e in (endpoint_exponent_left, endpoint_exponent_right):
+        if not (math.isfinite(e) and e > -1.0):
+            raise DomainError(f"endpoint exponents must be finite and > -1, got {e!r}")
+    p1 = endpoint_exponent_left + 1.0
+    q1 = endpoint_exponent_right + 1.0
+    value = np.empty(n_rows)
+    err = np.empty(n_rows)
+    evals = np.empty(n_rows, dtype=np.int64)
+
+    # v, e: estimate and last inter-level difference of the rows in `active`
+    active = np.arange(n_rows)
+    total, spent = _level_sum(0, p1, q1, smooth, active, max_nodes_per_level)
+    v = np.zeros(n_rows) + total         # h = 1 at level 0
+    e = np.full(n_rows, math.inf)
+    for level in range(1, max_levels):
+        new_sum, n = _level_sum(level, p1, q1, smooth, active, max_nodes_per_level)
+        spent += n
+        new = v / 2.0 + 2.0 ** -level * new_sum
+        e = np.abs(new - v)
+        v = new
+        if level < 2:
+            continue
+        done = e <= tol * np.maximum(np.abs(v), 1e-280)
+        if done.any():
+            stop = active[done]
+            value[stop], err[stop], evals[stop] = v[done], e[done], spent
+            keep = ~done
+            active, v, e = active[keep], v[keep], e[keep]
+            if not active.size:
+                break
+
+    value[active], err[active], evals[active] = v, e, spent
+    converged = np.ones(n_rows, dtype=bool)
+    converged[active] = False
+    return BatchQuadrature(value, err, evals, converged)
 
 
 def integrate_unit(spec: IntegrandSpec, tol: float = 1e-10, *,
@@ -138,7 +230,8 @@ def integrate_unit(spec: IntegrandSpec, tol: float = 1e-10, *,
     Levels halve the mesh, reusing earlier nodes; iteration stops once two
     consecutive levels agree to ``tol`` in relative terms.  The reported
     ``abs_error_estimate`` is that last inter-level difference, a conservative
-    bound given the rule's double-exponential convergence.
+    bound given the rule's double-exponential convergence.  This is
+    ``integrate_unit_batch`` on a batch of one.
 
     Raises
     ------
@@ -146,41 +239,19 @@ def integrate_unit(spec: IntegrandSpec, tol: float = 1e-10, *,
         If the node budget runs out first.  The best estimate rides along on
         the exception's ``result`` attribute.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    p1 = spec.endpoint_exponent_left + 1.0
-    q1 = spec.endpoint_exponent_right + 1.0
     smooth = spec.smooth_factor
-
-    h = 1.0
-    evals = 0
-    # level 0: all integer nodes
-    k_left = _node_cap(h, p1, max_nodes_per_level)
-    k_right = _node_cap(h, q1, max_nodes_per_level)
-    k0 = np.arange(-k_left, k_right + 1)
-    total = _level_sum(k0, h, p1, q1, smooth)
-    evals += k0.size
-    value = h * total
-    err = math.inf
-
-    for level in range(1, max_levels):
-        h /= 2.0
-        k_left = _node_cap(h, p1, max_nodes_per_level)
-        k_right = _node_cap(h, q1, max_nodes_per_level)
-        # only the odd multiples of the new mesh are new nodes
-        k_new = np.concatenate((np.arange(-1, -k_left - 1, -2), np.arange(1, k_right + 1, 2)))
-        new_sum = _level_sum(k_new, h, p1, q1, smooth)
-        evals += k_new.size
-        new_value = value / 2.0 + h * new_sum
-        err = abs(new_value - value)
-        value = new_value
-        if level >= 2 and err <= tol * max(abs(value), 1e-280):
-            return QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
-
-    best = QuadratureResult(value=value, abs_error_estimate=err, evaluations=evals)
+    batch = integrate_unit_batch(spec.endpoint_exponent_left, spec.endpoint_exponent_right,
+                                 lambda t, rows: smooth(t), 1, tol, max_levels=max_levels,
+                                 max_nodes_per_level=max_nodes_per_level)
+    result = QuadratureResult(value=float(batch.value[0]),
+                              abs_error_estimate=float(batch.abs_error_estimate[0]),
+                              evaluations=int(batch.evaluations[0]))
+    if batch.converged[0]:
+        return result
     raise ConvergenceError(
         f"tanh-sinh rule did not reach tol={tol:g} within {max_levels} levels "
-        f"({evals} evaluations); last inter-level difference {err:g}", result=best)
+        f"({result.evaluations} evaluations); last inter-level difference "
+        f"{result.abs_error_estimate:g}", result=result)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float, *, tol: float = 1e-11) -> float:

@@ -89,6 +89,21 @@ class TestSampleAndGrid:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.1)
 
+    def test_grid_passes_tol(self, capsys, monkeypatch):
+        import bibeta.cli
+        seen = {}
+        real = bibeta.cli.pdf_grid
+
+        def spy(alpha, resolution=100, tol=None):
+            seen["tol"] = tol
+            return real(alpha, resolution=resolution, tol=tol)
+
+        monkeypatch.setattr(bibeta.cli, "pdf_grid", spy)
+        code, _, _ = run_cli(capsys, "grid", "--alpha", "2,2,2,2",
+                             "--resolution", "3", "--tol", "1e-7")
+        assert code == 0
+        assert seen["tol"] == 1e-7
+
     def test_output_flag_writes_file(self, capsys, tmp_path):
         target = tmp_path / "draws.csv"
         code, out, _ = run_cli(capsys, "sample", "--alpha", "1,1,1,1",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -175,6 +176,40 @@ class TestPdfGrid:
         finite = grid[np.isfinite(grid[:, 2])]
         x, y, _ = finite[np.argmax(finite[:, 2])]
         assert abs(x - y) <= 0.011
+
+    @pytest.mark.parametrize("weights", [
+        (2.0, 3.0, 4.0, 5.0),       # every weight above 1
+        (0.5, 0.7, 0.8, 0.6),       # every weight below 1, both lines finite
+        (2.0, 0.3, 0.4, 2.0),       # a10 + a01 <= 1: the diagonal diverges
+        (0.3, 2.0, 3.0, 0.4),       # a11 + a00 <= 1: the antidiagonal diverges
+    ])
+    def test_cells_match_pdf_quadrature(self, weights):
+        # an odd resolution puts cells on both lines and at the center
+        a = AlphaBivariate(*weights)
+        grid = pdf_grid(a, resolution=9, tol=1e-10)
+        regions = [classify_region(x, y) for x, y in grid[:, :2]]
+        diag = {Region.LINE_AP, Region.LINE_PC, Region.CENTER_P}
+        anti = {Region.LINE_BP, Region.LINE_PD, Region.CENTER_P}
+        assert {r for r in regions} == set(Region) - {Region.OUT_OF_DOMAIN}
+        for (x, y, v), region in zip(grid, regions):
+            expect_inf = ((region in diag and a.a10 + a.a01 <= 1.0)
+                          or (region in anti and a.a11 + a.a00 <= 1.0))
+            assert math.isinf(v) == expect_inf
+            if not expect_inf:
+                assert rel_diff(v, pdf_quadrature(a, x, y, tol=1e-10).value) <= 1e-12
+
+    def test_unconverged_cells_go_through_pdf(self, monkeypatch):
+        import bibeta.density as density
+        kernel = density.integrate_unit_batch
+
+        def stalled(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            return dataclasses.replace(out, converged=np.zeros_like(out.converged))
+
+        monkeypatch.setattr(density, "integrate_unit_batch", stalled)
+        grid = pdf_grid(GENERIC, resolution=3)
+        for x, y, v in grid:
+            assert v == pdf(GENERIC, x, y).value
 
     def test_rejects_degenerate_resolution(self):
         with pytest.raises(DomainError):

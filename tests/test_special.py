@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from bibeta.errors import ConvergenceError, DomainError
 from bibeta.special import (IntegrandSpec, QuadratureResult, appell_f1, hyp2f1,
-                            integrate_unit, ln_beta_multi, ln_gamma)
+                            integrate_unit, integrate_unit_batch, ln_beta_multi,
+                            ln_gamma)
 from oracles import appell_f1_series, gauss_legendre_unit, hyp2f1_series
 
 
@@ -59,6 +60,11 @@ class TestIntegrateUnit:
         res = integrate_unit(IntegrandSpec(-0.5, -0.5, lambda t: np.ones_like(t)))
         assert res.value == pytest.approx(math.pi, rel=1e-10)
 
+    def test_arcsine_node_count_is_pinned(self):
+        # the node set per level is fixed: caching the tables must not move it
+        res = integrate_unit(IntegrandSpec(-0.5, -0.5, lambda t: np.ones_like(t)))
+        assert res.evaluations == 111
+
     def test_exp_smooth_against_oracles(self):
         res = integrate_unit(IntegrandSpec(0.5, 1.2, np.exp), tol=1e-12)
         # pinned by the dyadic Gauss-Legendre oracle at build time
@@ -94,6 +100,43 @@ class TestIntegrateUnit:
             QuadratureResult(1.0, -1e-3, 10)
         with pytest.raises(DomainError):
             QuadratureResult(1.0, 0.0, 0)
+
+
+class TestIntegrateUnitBatch:
+    def test_rows_match_the_scalar_rule(self):
+        # rows that need different depths stop on their own levels
+        rates = np.array([0.0, 1.0, 8.0, 40.0])
+
+        def smooth(t, rows):
+            return np.exp(-rates[rows][:, None] * t)
+
+        batch = integrate_unit_batch(0.5, -0.3, smooth, rates.size, tol=1e-12)
+        assert batch.converged.all()
+        for i, c in enumerate(rates):
+            one = integrate_unit(IntegrandSpec(0.5, -0.3, lambda t: np.exp(-c * t)), tol=1e-12)
+            assert batch.value[i] == pytest.approx(one.value, rel=1e-15)
+            assert batch.evaluations[i] == one.evaluations
+        assert len(set(batch.evaluations)) > 1
+
+    def test_node_tables_are_shared_and_read_only(self):
+        from bibeta.special import _node_table
+        tables = _node_table(3, 40, 40)
+        assert tables is _node_table(3, 40, 40)
+        assert not any(a.flags.writeable for a in tables)
+
+    def test_unconverged_rows_are_flagged(self):
+        batch = integrate_unit_batch(-0.5, -0.5, lambda t, rows: np.ones((rows.size, t.size)),
+                                     3, tol=1e-10, max_levels=2)
+        assert not batch.converged.any()
+        assert np.all(np.isfinite(batch.value))
+
+    def test_non_finite_interior_raises(self):
+        with pytest.raises(DomainError):
+            integrate_unit_batch(0.0, 0.0, lambda t, rows: np.where(t > 0.5, np.inf, 1.0), 2)
+
+    def test_rejects_bad_exponents(self):
+        with pytest.raises(DomainError):
+            integrate_unit_batch(-1.0, 0.0, lambda t, rows: 1.0, 1)
 
 
 class TestHyp2F1:
