@@ -222,6 +222,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bibeta",
@@ -270,8 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="moment-matching fit from a CSV of x,y pairs")
     p.add_argument("--input", dest="input_path", required=True)
-    p.add_argument("--restarts", type=_nonneg_int, default=8)
-    p.add_argument("--max-iterations", type=_nonneg_int, default=4000)
+    p.add_argument("--restarts", type=_positive_int, default=8,
+                   help="cap on Nelder-Mead starts; a restart runs only after "
+                        "a start that failed to converge or ended on the "
+                        "total-weight bound")
+    p.add_argument("--max-iterations", type=_positive_int, default=4000)
     p.add_argument("--objective-tolerance", type=float, default=1e-13)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--match-third-order", action="store_true")
@@ -313,8 +323,8 @@ def _spec_from_args(parser, args) -> CommandSpec:
     elif args.subcommand == "fit":
         kwargs.update(input_path=args.input_path,
                       match_third_order=args.match_third_order,
-                      fit_options=FitOptions(restarts=max(args.restarts, 1),
-                                             max_iterations=max(args.max_iterations, 1),
+                      fit_options=FitOptions(restarts=args.restarts,
+                                             max_iterations=args.max_iterations,
                                              objective_tolerance=args.objective_tolerance,
                                              seed=args.seed))
     elif args.subcommand == "baseline":

@@ -237,7 +237,14 @@ def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
 #   f(1/2, 1/2) = B(a)^-1 * 2**(3-M) * G(a10+a01-1) * G(a11+a00-1) / G(M-2).
 
 
-def _lower_triangle(alpha: AlphaBivariate, x: float, y: float, d: float) -> float:
+def _line_tol(tol: float) -> float:
+    # the 2F1 on the cut lines runs a decade tighter than ``tol``; scaling by
+    # the ratio keeps the default tol's 1e-11 exact (1e-10 / 10 is not)
+    return 1e-11 * (tol / 1e-10)
+
+
+def _lower_triangle(alpha: AlphaBivariate, x: float, y: float, d: float,
+                    tol: float) -> float:
     # valid for d = x+y-1 < 0 and x < y
     ln_pref = (-ln_beta_multi(alpha.as_array())
                + ln_beta_multi((alpha.a11, alpha.a10))
@@ -245,11 +252,11 @@ def _lower_triangle(alpha: AlphaBivariate, x: float, y: float, d: float) -> floa
                + (alpha.a01 - 1.0) * math.log(y)
                + (alpha.a00 - 1.0) * math.log(-d))
     f1 = appell_f1(alpha.a11, 1.0 - alpha.a01, 1.0 - alpha.a00,
-                   alpha.a11 + alpha.a10, x / y, x / d)
+                   alpha.a11 + alpha.a10, x / y, x / d, tol=tol)
     return math.exp(ln_pref) * f1
 
 
-def _diagonal_half(alpha: AlphaBivariate, x: float) -> float:
+def _diagonal_half(alpha: AlphaBivariate, x: float, tol: float) -> float:
     # valid for x = y < 1/2; diverges unless the solo shares carry weight > 1
     s = alpha.a10 + alpha.a01 - 1.0
     if s <= 0.0:
@@ -259,11 +266,12 @@ def _diagonal_half(alpha: AlphaBivariate, x: float) -> float:
                + ln_beta_multi((alpha.a11, s))
                + (alpha.a11 + s - 1.0) * math.log(x)
                + (alpha.a00 - 1.0) * math.log(one_minus_2x))
-    g = hyp2f1(1.0 - alpha.a00, alpha.a11, alpha.a11 + s, x / (2.0 * x - 1.0))
+    g = hyp2f1(1.0 - alpha.a00, alpha.a11, alpha.a11 + s, x / (2.0 * x - 1.0),
+               tol=_line_tol(tol))
     return math.exp(ln_pref) * g
 
 
-def _antidiagonal_half(alpha: AlphaBivariate, x: float, y: float) -> float:
+def _antidiagonal_half(alpha: AlphaBivariate, x: float, y: float, tol: float) -> float:
     # valid for x = 1 - y < 1/2; diverges unless shared + complement > 1
     r = alpha.a11 + alpha.a00 - 1.0
     if r <= 0.0:
@@ -272,7 +280,7 @@ def _antidiagonal_half(alpha: AlphaBivariate, x: float, y: float) -> float:
                + ln_beta_multi((alpha.a10, r))
                + (alpha.a10 + r - 1.0) * math.log(x)
                + (alpha.a01 - 1.0) * math.log(y))
-    g = hyp2f1(1.0 - alpha.a01, r, alpha.a10 + r, x / y)
+    g = hyp2f1(1.0 - alpha.a01, r, alpha.a10 + r, x / y, tol=_line_tol(tol))
     return math.exp(ln_pref) * g
 
 
@@ -287,33 +295,36 @@ def _center(alpha: AlphaBivariate) -> float:
     return math.exp(ln_f)
 
 
-def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float) -> DensityValue:
+def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
+                    tol: float = 1e-10) -> DensityValue:
     """Density via the region-matched hypergeometric expression.
 
     Regions other than the directly-coded ones are mapped back through the
     swap and reflection symmetries of the construction, which are exact.
+    ``tol`` is the relative tolerance of the Appell F1 integral; the Gauss
+    2F1 on the cut lines runs one decade tighter.
     """
     x, y = float(x), float(y)
     region = _require_inside(alpha, x, y)
     d = _sum_minus_one(x, y)
 
     if region is Region.ABP:
-        v = _lower_triangle(alpha, x, y, d)
+        v = _lower_triangle(alpha, x, y, d, tol)
     elif region is Region.APD:
-        v = _lower_triangle(alpha.swapped(), y, x, d)
+        v = _lower_triangle(alpha.swapped(), y, x, d, tol)
     elif region is Region.CDP:
-        v = _lower_triangle(alpha.reflected(), 1.0 - x, 1.0 - y, -d)
+        v = _lower_triangle(alpha.reflected(), 1.0 - x, 1.0 - y, -d, tol)
     elif region is Region.BCP:
-        v = _lower_triangle(alpha.reflected().swapped(), 1.0 - y, 1.0 - x, -d)
+        v = _lower_triangle(alpha.reflected().swapped(), 1.0 - y, 1.0 - x, -d, tol)
     elif region is Region.LINE_AP:
-        v = _diagonal_half(alpha, x)
+        v = _diagonal_half(alpha, x, tol)
     elif region is Region.LINE_PC:
-        v = _diagonal_half(alpha.reflected(), 1.0 - x)
+        v = _diagonal_half(alpha.reflected(), 1.0 - x, tol)
     elif region is Region.LINE_BP:
-        v = _antidiagonal_half(alpha, x, y)
+        v = _antidiagonal_half(alpha, x, y, tol)
     elif region is Region.LINE_PD:
         # on this line 1-x equals y exactly, so the reflected point is (y, x)
-        v = _antidiagonal_half(alpha.reflected(), y, x)
+        v = _antidiagonal_half(alpha.reflected(), y, x, tol)
     else:
         v = _center(alpha)
     return DensityValue(v, "closed_form")
@@ -322,15 +333,15 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float) -> DensityValue:
 def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
     """Density with automatic route choice.
 
-    The closed form is preferred; the quadrature route (honouring ``tol``)
-    takes over when the hypergeometric arguments fall outside their valid
-    range or fail to converge, which happens only within rounding distance
-    of the cut lines.
+    The closed form is preferred; the quadrature route takes over when the
+    hypergeometric arguments fall outside their valid range or fail to
+    converge, which happens only within rounding distance of the cut lines.
+    Both routes honour ``tol``.
     """
     x, y = float(x), float(y)
     _require_inside(alpha, x, y)
     try:
-        return pdf_closed_form(alpha, x, y)
+        return pdf_closed_form(alpha, x, y, tol=tol)
     except (ConvergenceError, DomainError, OverflowError):
         return pdf_quadrature(alpha, x, y, tol=tol)
 

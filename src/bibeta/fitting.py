@@ -5,7 +5,9 @@ The estimator minimizes the squared distance between the five exact moments
 positive weights whose total stays below the feasibility bound implied by
 the marginal variances.  The search runs in log space with a Nelder-Mead
 simplex (scipy), a one-sided quadratic penalty for the total-weight bound,
-and jittered multi-starts around a closed-form initial inversion.
+and one start at a closed-form initial inversion.  Jittered restarts around
+that inversion run only while the best start has failed to converge or ends
+with the penalty active, up to ``FitOptions.restarts`` starts in all.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .construction import AlphaBivariate
 from .errors import DegenerateDataError, DomainError, InfeasibleMomentsError
@@ -128,12 +129,26 @@ def initial_guess(m: MomentVector) -> AlphaBivariate:
     return AlphaBivariate(*vals)
 
 
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call so that
+    importing bibeta does not pay for scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
+
+
 def _third_order_targets(data) -> tuple:
     arr = np.asarray(data, dtype=float)
     dx = arr[:, 0] - arr[:, 0].mean()
     dy = arr[:, 1] - arr[:, 1].mean()
-    return (float(np.mean(dx ** 3)), float(np.mean(dy ** 3)),
-            float(np.mean(dx * dx * dy)), float(np.mean(dx * dy * dy)))
+    # products, not ``** 3`` (a pow call per element); one product buffer
+    # is reused, so at most two temporaries live beside dx and dy
+    prod = dx * dx
+    m30, m21 = np.mean(prod * dx), np.mean(prod * dy)
+    np.multiply(dx, dy, out=prod)
+    m12 = np.mean(prod * dy)
+    np.multiply(dy, dy, out=prod)
+    m03 = np.mean(prod * dy)
+    return float(m30), float(m03), float(m21), float(m12)
 
 
 def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
@@ -169,11 +184,12 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
         used = r + 1
         if best is None or res.fun < best.fun:
             best = res
-        if best.success and best.fun <= opts.objective_tolerance:
+        alpha_arr = np.exp(np.clip(best.x, -_LOG_CLIP, _LOG_CLIP))
+        total = float(np.sum(alpha_arr))
+        # another start can only help a failed start or one the hinge holds
+        if best.success and (best.fun <= opts.objective_tolerance or total < hinge_at):
             break
 
-    alpha_arr = np.exp(np.clip(best.x, -_LOG_CLIP, _LOG_CLIP))
-    total = float(np.sum(alpha_arr))
     if total >= bound:
         alpha_arr = alpha_arr * (bound * (1.0 - _BOUND_MARGIN) / total)
     alpha_star = AlphaBivariate(*alpha_arr)

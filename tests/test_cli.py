@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bibeta
 from bibeta.cli import main
 
 
@@ -140,6 +144,22 @@ class TestFitCommand:
         assert code == 5
         payload = json.loads(out)
         assert payload["converged"] is False
+
+    @pytest.mark.parametrize("flag", ["--restarts", "--max-iterations"])
+    def test_zero_count_is_usage_error(self, capsys, tmp_path, flag):
+        code, out, err = run_cli(capsys, "fit", "--input", str(tmp_path / "unread.csv"),
+                                 flag, "0")
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(bibeta.__file__))
+        probe = "import sys, bibeta.cli; print('scipy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "False"
 
     def test_degenerate_input_exit_4(self, capsys, tmp_path):
         data_path = tmp_path / "flat.csv"

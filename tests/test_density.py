@@ -154,6 +154,25 @@ class TestPdf:
         with pytest.raises(DomainError):
             pdf(GENERIC, 0.5, 1.0)
 
+    def test_tol_reaches_the_hypergeometric_integrals(self, monkeypatch):
+        import bibeta.density as density
+        seen = []
+
+        def spying(name, real):
+            def spy(*args, tol):
+                seen.append((name, tol))
+                return real(*args, tol=tol)
+            return spy
+
+        monkeypatch.setattr(density, "appell_f1", spying("appell_f1", density.appell_f1))
+        monkeypatch.setattr(density, "hyp2f1", spying("hyp2f1", density.hyp2f1))
+        for tol in (1e-10, 1e-6):
+            pdf(GENERIC, 0.3, 0.6, tol=tol)
+            pdf(GENERIC, 0.3, 0.3, tol=tol)
+        # the default passes the integrals' own defaults exactly
+        assert seen == [("appell_f1", 1e-10), ("hyp2f1", 1e-11),
+                        ("appell_f1", 1e-6), ("hyp2f1", pytest.approx(1e-7, rel=1e-15))]
+
 
 class TestPdfGrid:
     def test_all_ones_coarse_grid(self):

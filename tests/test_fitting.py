@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bibeta import fitting
 from bibeta.construction import AlphaBivariate, RandomStream, sample_bivariate
 from bibeta.errors import DegenerateDataError, DomainError, InfeasibleMomentsError
 from bibeta.fitting import (
@@ -155,6 +156,31 @@ class TestFitMoments:
         res = fit_moments(M_EXACT, FitOptions(restarts=3))
         assert 1 <= res.restarts_used <= 3
 
+    def test_every_start_runs_when_none_converges(self):
+        res = fit_moments(M_EXACT, FitOptions(max_iterations=1, restarts=3))
+        assert res.restarts_used == 3
+        assert not res.converged
+
+    def test_a_start_ending_on_the_hinge_gets_a_restart(self, monkeypatch):
+        real = fitting.minimize
+        hinge_at = alpha_sum_bound(M_PERTURBED) * (1.0 - fitting._BOUND_MARGIN)
+        starts = []
+
+        def first_on_hinge(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            starts.append(res)
+            if len(starts) == 1:
+                # push the converged start just past the hinge
+                res.x = res.x + np.log(1.001 * hinge_at / np.sum(np.exp(res.x)))
+                res.fun = fun(res.x)
+            return res
+
+        monkeypatch.setattr(fitting, "minimize", first_on_hinge)
+        res = fit_moments(M_PERTURBED)
+        assert starts[0].success
+        assert res.restarts_used == len(starts) == 2
+        assert res.converged
+
 
 class TestFitData:
     def test_recovers_reference_parameters_from_samples(self):
@@ -162,6 +188,20 @@ class TestFitData:
         res = fit_data(draws)
         assert res.converged
         assert np.max(np.abs(res.alpha_star.as_array() - REFERENCE_ALPHA.as_array())) < 0.05
+
+    def test_reference_sample_fit_needs_one_start(self):
+        draws = sample_bivariate(REFERENCE_ALPHA, 10 ** 6, RandomStream(301))
+        res = fit_data(draws)
+        assert res.restarts_used == 1
+
+    def test_third_order_targets_match_the_power_formula(self):
+        draws = sample_bivariate(REFERENCE_ALPHA, 10 ** 5, RandomStream(304))
+        dx = draws[:, 0] - draws[:, 0].mean()
+        dy = draws[:, 1] - draws[:, 1].mean()
+        expected = (np.mean(dx ** 3), np.mean(dy ** 3),
+                    np.mean(dx * dx * dy), np.mean(dx * dy * dy))
+        got = fitting._third_order_targets(draws)
+        assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_uniform_data_gives_near_zero_correlation(self):
         draws = sample_bivariate(AlphaBivariate(1, 1, 1, 1), 10 ** 5, RandomStream(302))
