@@ -7,12 +7,12 @@ of the common share u:
               u**(a11-1) * (x-u)**(a10-1) * (y-u)**(a01-1)
               * (1-x-y+u)**(a00-1) du.
 
-Two evaluation routes are provided.  ``pdf_quadrature`` rescales the integral
-to (0, 1) and hands it to the tanh-sinh rule; ``pdf_closed_form`` evaluates
-the region-matched hypergeometric expression (Appell F1 off the diagonals,
-Gauss 2F1 on them).  The unit square splits into four open triangles around
-the center, cut by the diagonal x = y and the antidiagonal x + y = 1; the
-closed forms take a different shape on each piece.
+``pdf`` is ``pdf_quadrature``: the integral, rescaled to (0, 1) with every
+distance to an end of the share range formed without cancellation, under the
+tanh-sinh rule; ``pdf_grid`` batches it.  ``pdf_closed_form`` keeps the
+paper's hypergeometric expression (Appell F1 off the diagonals, Gauss 2F1 on
+them) as a reference.  The unit square splits into four open triangles,
+cut by x = y and x + y = 1, and the closed forms take a shape on each.
 
 Only the lower-left triangle and the two half-lines through it are coded
 directly.  The other pieces are reached through two exact distributional
@@ -36,7 +36,8 @@ import numpy as np
 
 from .construction import AlphaBivariate
 from .errors import ConvergenceError, DomainError
-from .special import (IntegrandSpec, appell_f1, hyp2f1, integrate_unit,
+# integrate_unit stays bound here: perfbench/tracing.py wraps it by name
+from .special import (appell_f1, hyp2f1, integrate_unit,  # noqa: F401
                       integrate_unit_batch, ln_beta_multi)
 
 __all__ = [
@@ -132,85 +133,96 @@ class DensityValue:
                 f"error_estimate={self.error_estimate!r})")
 
 
-def _require_inside(alpha: AlphaBivariate, x: float, y: float) -> Region:
+def _require_inside(x: float, y: float, tol: float) -> Region:
+    # tol first, so a bad one fails at every point, cut lines included
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     region = classify_region(x, y)
     if region is Region.OUT_OF_DOMAIN:
         raise DomainError(f"point ({x!r}, {y!r}) lies outside the open unit square")
     return region
 
 
-def _share_integrand(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.ndarray):
-    """The share-range integral, rescaled to (0, 1), at points that share
-    one sign pattern of (d, x - y), with d = x + y - 1 from
-    ``_sum_minus_one``.
+def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.ndarray,
+                   tol: float):
+    """Density at points that share one sign pattern of (d, x - y), with
+    d = x + y - 1 from ``_sum_minus_one``: the share-range integral,
+    rescaled to (0, 1), from ``integrate_unit_batch``, times its prefactor.
 
     Every factor that vanishes at an endpoint moves into the endpoint
     exponents, which the pattern fixes; the rest stays in the smooth part.
-    Returns ``(p, q, scale, smooth)``: the exponents, the length of each
-    point's share range, and ``smooth(t, rows)``, the smooth factor of the
-    points ``rows`` as a (rows x nodes) array.  The integral diverges when
-    ``p`` or ``q`` is at most -1.
+    Returns per-point ``(value, error_estimate, converged)``, which read
+    ``(inf, 0, True)`` without integrating where the integral diverges.
     """
     d0, s0 = d[0], x[0] - y[0]
-    if d0 > 0.0:
-        lo, scale = d, 1.0 - np.maximum(x, y)
-    else:
-        lo, scale = 0.0, np.minimum(x, y)
+    # the share range runs from max(0, d) up to min(x, y)
+    scale = 1.0 - np.maximum(x, y) if d0 > 0.0 else np.minimum(x, y)
 
-    # which factors vanish at the endpoints of the rescaled integral
-    sing_share = d0 <= 0.0         # u -> 0 at t = 0
-    sing_comp = d0 >= 0.0          # 1-x-y+u -> 0 at t = 0
-    sing_x = s0 <= 0.0             # x-u -> 0 at t = 1
-    sing_y = s0 >= 0.0             # y-u -> 0 at t = 1
+    # which factors vanish at the ends: u or 1-x-y+u at t = 0, x-u or y-u at 1
+    sing_share, sing_comp = d0 <= 0.0, d0 >= 0.0
+    sing_x, sing_y = s0 <= 0.0, s0 >= 0.0
 
     p = (alpha.a11 - 1.0 if sing_share else 0.0) + (alpha.a00 - 1.0 if sing_comp else 0.0)
     q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
+    n = x.size
+    if p <= -1.0 or q <= -1.0:
+        return np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool)
 
-    # per-point bases as columns, so they broadcast against the node row
-    smooth_terms = []
+    # (base, slope, exponent, from_right): base + slope*t, or from the top
+    # |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its digits
+    # where both are subnormal (|d| never is); columns against the node row,
+    # or scalars for a batch of one, whose level sums then stay 1-D
+    col = (lambda v: v[:, None]) if n > 1 else (lambda v: v[0])
+    scale_col = col(scale)
+    terms, ln_unit = [], 0.0
     if not sing_share:
-        smooth_terms.append((lo[:, None], alpha.a11 - 1.0))        # u = lo + scale*t
+        terms.append((col(d), scale_col, alpha.a11 - 1.0, False))          # u
     if not sing_comp:
-        smooth_terms.append((-d[:, None], alpha.a00 - 1.0))        # 1-x-y+u = -d + scale*t
-    down_terms = []
-    if not sing_x:
-        down_terms.append(((x - lo)[:, None], alpha.a10 - 1.0))    # x-u = (x-lo) - scale*t
-    if not sing_y:
-        down_terms.append(((y - lo)[:, None], alpha.a01 - 1.0))
-    scale_col = scale[:, None]
+        terms.append((col(-d), scale_col, alpha.a00 - 1.0, False))         # 1-x-y+u
+    if s0 != 0.0:
+        gap = np.abs(x - y)
+        unit = np.maximum(gap, scale)
+        e = alpha.a10 - 1.0 if s0 > 0.0 else alpha.a01 - 1.0             # x-u, y-u
+        terms.append((col(gap / unit), col(scale / unit), e, True))
+        ln_unit = e * np.log(unit)
 
-    def smooth(t, rows):
-        sc = scale_col[rows]
-        out = np.ones((sc.shape[0], t.size))
-        for base, e in smooth_terms:
-            out = out * np.power(base[rows] + sc * t, e)
-        for base, e in down_terms:
-            out = out * np.power(base[rows] - sc * t, e)
+    def smooth(t, one_minus_t, rows):
+        # no re-indexing while every row is active
+        every = rows.size == n
+        out = 1.0
+        for base, slope, e, from_right in terms:
+            if not every:
+                base, slope = base[rows], slope[rows]
+            out = out * np.power(base + slope * (one_minus_t if from_right else t), e)
         return out
 
-    return p, q, scale, smooth
+    batch = integrate_unit_batch(p, q, smooth, n, tol)
+    ln_pref = (1.0 + p + q) * np.log(scale) + ln_unit - ln_beta_multi(alpha.as_array())
+    # in logs: a prefactor past the float range meets its integral first, and
+    # a density that still overflows reads inf, not inf * 0 = nan in its error
+    with np.errstate(divide="ignore", over="ignore"):
+        value = np.exp(ln_pref + np.log(batch.value))
+        error = np.exp(ln_pref + np.log(batch.abs_error_estimate))
+    return value, error, batch.converged
 
 
 def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
                    tol: float = 1e-10) -> DensityValue:
-    """Density by direct tanh-sinh integration over the share range.
+    """Density by direct tanh-sinh integration over the share range, on
+    the integrand ``pdf_grid`` uses, as a batch of one point.
 
-    The integration variable is rescaled to (0, 1); every factor that
-    vanishes at an endpoint moves into the declared endpoint exponents, the
-    rest stays in the smooth part.  Returns the infinity marker where the
-    integral diverges.  This is the integrand ``pdf_grid`` uses, on a batch
-    of one point.
+    Returns the infinity marker where the integral diverges.  A
+    ``ConvergenceError`` carries the best estimate as a ``DensityValue``.
     """
     x, y = float(x), float(y)
-    _require_inside(alpha, x, y)
-    p, q, scale, smooth = _share_integrand(
-        alpha, np.array([x]), np.array([y]), np.array([_sum_minus_one(x, y)]))
-    if p <= -1.0 or q <= -1.0:
-        return DensityValue(math.inf, "quadrature")
-    result = integrate_unit(IntegrandSpec(p, q, lambda t: smooth(t, [0])), tol=tol)
-    ln_pref = (1.0 + p + q) * math.log(scale[0]) - ln_beta_multi(alpha.as_array())
-    pref = math.exp(ln_pref)
-    return DensityValue(pref * result.value, "quadrature", pref * result.abs_error_estimate)
+    _require_inside(x, y, tol)
+    value, error, converged = _density_batch(
+        alpha, np.array([x]), np.array([y]), np.array([_sum_minus_one(x, y)]), tol)
+    result = DensityValue(value[0], "quadrature", error[0])
+    if not converged[0]:
+        raise ConvergenceError(f"density at ({x!r}, {y!r}) did not reach tol={tol:g}",
+                               result=result)
+    return result
 
 
 # --- closed forms ---------------------------------------------------------
@@ -305,7 +317,7 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
     2F1 on the cut lines runs one decade tighter.
     """
     x, y = float(x), float(y)
-    region = _require_inside(alpha, x, y)
+    region = _require_inside(x, y, tol)
     d = _sum_minus_one(x, y)
 
     if region is Region.ABP:
@@ -331,19 +343,13 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
 
 
 def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
-    """Density with automatic route choice.
+    """Density at (x, y) to relative tolerance ``tol``: ``pdf_quadrature``.
 
-    The closed form is preferred; the quadrature route takes over when the
-    hypergeometric arguments fall outside their valid range or fail to
-    converge, which happens only within rounding distance of the cut lines.
-    Both routes honour ``tol``.
+    ``inf`` on a divergent cut line; ``DomainError`` off the open square or
+    for a ``tol`` that is not finite and positive; ``ConvergenceError``,
+    carrying the best ``DensityValue``, if the rule runs out of levels.
     """
-    x, y = float(x), float(y)
-    _require_inside(alpha, x, y)
-    try:
-        return pdf_closed_form(alpha, x, y, tol=tol)
-    except (ConvergenceError, DomainError, OverflowError):
-        return pdf_quadrature(alpha, x, y, tol=tol)
+    return pdf_quadrature(alpha, x, y, tol=tol)
 
 
 def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
@@ -353,9 +359,8 @@ def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
     Returns an (R*R, 3) array of rows (x, y, density), the first coordinate
     varying slowest.  Cells sitting exactly on a divergent cut line hold the
     infinity marker.  Cells are grouped by their sign pattern of
-    (x + y - 1, x - y), and each group runs through the quadrature route in
-    batched kernel calls; a cell the kernel leaves unconverged at ``tol``
-    goes through ``pdf``.
+    (x + y - 1, x - y) and run through ``pdf_quadrature``'s integrand in
+    batched kernel calls; an unconverged cell raises ``ConvergenceError``.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -365,18 +370,13 @@ def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
     y = np.tile(axis, resolution)
     d = _sum_minus_one(x, y)
     density = np.empty(x.size)
-    ln_b = ln_beta_multi(alpha.as_array())
     pattern = 3 * np.sign(d) + np.sign(x - y)
     for key in np.unique(pattern):
         cells = np.flatnonzero(pattern == key)
         for start in range(0, cells.size, _GRID_CHUNK):
             rows = cells[start:start + _GRID_CHUNK]
-            p, q, scale, smooth = _share_integrand(alpha, x[rows], y[rows], d[rows])
-            if p <= -1.0 or q <= -1.0:
-                density[rows] = math.inf
-                continue
-            batch = integrate_unit_batch(p, q, smooth, rows.size, tol)
-            density[rows] = np.exp((1.0 + p + q) * np.log(scale) - ln_b) * batch.value
-            for i in rows[~batch.converged]:
-                density[i] = pdf(alpha, x[i], y[i], tol=tol).value
+            value, _, converged = _density_batch(alpha, x[rows], y[rows], d[rows], tol)
+            if not converged.all():
+                raise ConvergenceError(f"a grid cell did not reach tol={tol:g}")
+            density[rows] = value
     return np.column_stack((x, y, density))

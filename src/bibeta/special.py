@@ -123,10 +123,10 @@ def _node_cap(h: float, c: float, budget: int) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _node_table(level: int, k_left: int, k_right: int):
-    """Read-only ``(log t, log(1-t), log(pi cosh u), clipped t)`` at the
-    nodes level ``level`` adds: every integer node at level 0, the odd
-    multiples of the halved mesh after that.  They depend on nothing else,
-    so every integrand at that level and those caps shares them."""
+    """Read-only ``(log t, log(1-t), log(pi cosh u), t, 1-t)``, the last two
+    clipped into (0, 1), at the nodes level ``level`` adds: every integer
+    node at level 0, the odd multiples of the halved mesh after that.  They
+    depend on nothing else, so every integrand there shares them."""
     if level == 0:
         k = np.arange(-k_left, k_right + 1)
     else:
@@ -136,10 +136,10 @@ def _node_table(level: int, k_left: int, k_right: int):
     log_t = -np.logaddexp(0.0, -g)       # log sigmoid(g)
     log_1mt = -np.logaddexp(0.0, g)
     log_jac = np.log(math.pi * np.cosh(u))
-    t = np.clip(np.exp(log_t), _T_LO, _T_HI)
-    for a in (log_t, log_1mt, log_jac, t):
+    t, one_minus_t = (np.clip(np.exp(v), _T_LO, _T_HI) for v in (log_t, log_1mt))
+    for a in (log_t, log_1mt, log_jac, t, one_minus_t):
         a.flags.writeable = False
-    return log_t, log_1mt, log_jac, t
+    return log_t, log_1mt, log_jac, t, one_minus_t
 
 
 def _level_sum(level, p1, q1, smooth, rows, budget):
@@ -147,11 +147,11 @@ def _level_sum(level, p1, q1, smooth, rows, budget):
     adds, one entry per row in ``rows`` (or one for all of them), and the
     number of those nodes."""
     h = 2.0 ** -level
-    log_t, log_1mt, log_jac, t = _node_table(level, _node_cap(h, p1, budget),
-                                             _node_cap(h, q1, budget))
+    log_t, log_1mt, log_jac, t, one_minus_t = _node_table(
+        level, _node_cap(h, p1, budget), _node_cap(h, q1, budget))
     w = np.exp(p1 * log_t + q1 * log_1mt + log_jac)
     with np.errstate(invalid="ignore", over="ignore"):
-        sm = np.asarray(smooth(t, rows), dtype=float)
+        sm = np.asarray(smooth(t, one_minus_t, rows), dtype=float)
         vals = np.where(w > 0.0, w * sm, 0.0)
     if not np.isfinite(vals).all():
         raise DomainError("integrand is not finite at interior nodes; "
@@ -171,18 +171,18 @@ class BatchQuadrature:
 
 
 def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right: float,
-                         smooth: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                         smooth: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                          n_rows: int, tol: float = 1e-10, *, max_levels: int = 10,
                          max_nodes_per_level: int = 2 ** 14) -> BatchQuadrature:
     """Integrate ``t**p * (1-t)**q * smooth(t, row)`` over (0, 1) for
     ``n_rows`` integrands that share the endpoint exponents ``p`` and ``q``.
 
-    ``smooth(t, active)`` gets the level's node array and the indices of the
-    rows still iterating, and returns their smooth factors as an
-    ``(active.size, t.size)`` array, or anything that broadcasts to it.  It
-    is only called with nodes strictly inside (0, 1) and must be finite
-    there.  Each row stops on the rule of ``integrate_unit``; only the rows
-    that have not stopped go on to finer levels.
+    ``smooth(t, one_minus_t, active)`` gets the level's nodes, ``1 - t``
+    (positive where ``t`` rounds to 1) and the indices of the rows still
+    iterating, and returns their smooth factors as an ``(active.size,
+    t.size)`` array, or anything that broadcasts to it.  It is only called
+    with nodes strictly inside (0, 1) and must be finite there.  Each row
+    stops on the rule of ``integrate_unit``; the rest go on to finer levels.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -241,7 +241,7 @@ def integrate_unit(spec: IntegrandSpec, tol: float = 1e-10, *,
     """
     smooth = spec.smooth_factor
     batch = integrate_unit_batch(spec.endpoint_exponent_left, spec.endpoint_exponent_right,
-                                 lambda t, rows: smooth(t), 1, tol, max_levels=max_levels,
+                                 lambda t, *_: smooth(t), 1, tol, max_levels=max_levels,
                                  max_nodes_per_level=max_nodes_per_level)
     result = QuadratureResult(value=float(batch.value[0]),
                               abs_error_estimate=float(batch.abs_error_estimate[0]),

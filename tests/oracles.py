@@ -100,3 +100,63 @@ def density_riemann(alpha_tuple, x: float, y: float, panels: int = 200001) -> fl
     vals = (np.power(u, a11 - 1.0) * np.power(x - u, a10 - 1.0)
             * np.power(y - u, a01 - 1.0) * np.power(1.0 - x - y + u, a00 - 1.0))
     return float(vals.sum() * h * math.exp(-ln_b))
+
+
+
+
+def density_mpmath(alpha_tuple, x: float, y: float, dps: int = 20) -> float:
+    """The defining share integral in ``dps``-digit mpmath arithmetic.
+
+    ``x`` and ``y`` enter as their exact binary values.  Each half of the
+    share range is integrated in the distance ``s`` from its end, so the
+    factor that vanishes there is ``s`` itself and the one that nearly
+    vanishes is ``gap + s``, with ``gap`` the exact distance to the cut line
+    (``|x + y - 1|`` at the lower end, ``|x - y|`` at the upper).  Where the
+    vanishing factor's exponent ``E`` is negative, ``s = w**(1/(E+1))`` takes
+    out the endpoint singularity.  The range is cut where
+    ``s = gap * 1000**k``, so no piece is more than 1000 times longer than
+    its distance from the nearest zero.  Each piece is scaled to order one
+    before it is integrated, since mpmath's rule stops on an absolute error.
+    Raises ``ValueError`` for a point on a cut line.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        e11, e10, e01, e00 = (mpmath.mpf(a) - 1 for a in alpha_tuple)   # exponents
+        x, y = mpmath.mpf(x), mpmath.mpf(y)
+        d = x + y - 1
+        lo, hi = max(mpmath.mpf(0), d), min(x, y)
+        half = (hi - lo) / 2
+        total = mpmath.mpf(0)
+        # each end: factors (value at the end, slope in s, exponent), with
+        # u = lo + s or u = hi - s; the value is exactly 0 for the vanishing one
+        for factors in (((lo, 1, e11), (x - lo, -1, e10), (y - lo, -1, e01), (lo - d, 1, e00)),
+                        ((hi, -1, e11), (x - hi, 1, e10), (y - hi, 1, e01), (hi - d, -1, e00))):
+            rest = [f for f in factors if f[0] != 0]
+            if len(rest) != 3:
+                raise ValueError("the mpmath oracle needs a point off the cut lines")
+            big_e = sum(e for c, _, e in factors if c == 0)
+            gap = min(c for c, slope, _ in rest if slope > 0)
+            # w = s**k, with k = E + 1 where E < 0, turns s**E ds into dw / k
+            k, power = (big_e + 1, 0) if big_e < 0 else (1, big_e)
+
+            def g(w, rest=rest, k=k, power=power):
+                s = w ** (1 / k)
+                out = s ** power / k
+                for c, slope, e in rest:
+                    out *= (c + slope * s) ** e
+                return out
+
+            cuts = [mpmath.mpf(0)]
+            step = gap
+            while step < half:
+                cuts.append(step ** k)
+                step *= 1000
+            cuts.append(half ** k)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                # mpmath's quad stops on an absolute error: bring each piece to O(1)
+                size = max(g((a + b) / 2), g(b))
+                total += size * mpmath.quad(lambda w: g(w) / size, [a, b])
+        ln_b = (sum(mpmath.loggamma(e + 1) for e in (e11, e10, e01, e00))
+                - mpmath.loggamma(e11 + e10 + e01 + e00 + 4))
+        return float(total * mpmath.exp(-ln_b))

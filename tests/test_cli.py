@@ -28,6 +28,12 @@ class TestBasicCommands:
         assert code == 0
         assert float(out) == pytest.approx(3.0, rel=1e-12)
 
+    def test_pdf_rejects_zero_tol_at_the_center(self, capsys):
+        code, out, _ = run_cli(capsys, "pdf", "--alpha", "2,3,4,5",
+                               "--point", "0.5,0.5", "--tol", "0")
+        assert code == 3
+        assert out == ""
+
     def test_pdf_prints_inf_on_divergence(self, capsys):
         code, out, _ = run_cli(capsys, "pdf", "--alpha", "0.5,0.5,0.5,0.5",
                                "--point", "0.3,0.3")

@@ -9,15 +9,43 @@ from hypothesis import strategies as st
 from bibeta.construction import AlphaBivariate
 from bibeta.density import (DensityValue, Region, classify_region, pdf,
                             pdf_closed_form, pdf_grid, pdf_quadrature)
-from bibeta.errors import DomainError
-from oracles import density_riemann
+from bibeta.errors import ConvergenceError, DomainError
+from oracles import density_mpmath, density_riemann
 
 ONES = AlphaBivariate(1, 1, 1, 1)
 GENERIC = AlphaBivariate(2.0, 3.0, 1.5, 2.5)
+# weights below 1 with both lines finite, both lines divergent, and a ridge
+NEAR_LINE_SETS = [(0.5, 0.7, 0.8, 0.6), (0.4, 0.3, 0.4, 0.5), (10.0, 0.1, 0.1, 10.0)]
+# a point on each half-line and the direction that leaves it
+HALF_LINES = {"diag_low": (0.3, 0.3, 1.0, 0.0), "diag_high": (0.7, 0.7, -1.0, 0.0),
+              "anti_left": (0.3, 0.7, 0.0, -1.0), "anti_right": (0.7, 0.3, 0.0, 1.0)}
 
 
 def rel_diff(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _stall_kernel(monkeypatch):
+    # the batch kernel as usual, but every row reported unconverged
+    import bibeta.density as density
+    kernel = density.integrate_unit_batch
+
+    def stalled(*args, **kwargs):
+        out = kernel(*args, **kwargs)
+        return dataclasses.replace(out, converged=np.zeros_like(out.converged))
+
+    monkeypatch.setattr(density, "integrate_unit_batch", stalled)
+
+
+def _ulps_off_a_line(t, anti, ulps):
+    y = 1.0 - t if anti else t
+    return t, y + ulps * float(np.spacing(y))
+
+
+INSIDE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+POINTS = st.one_of(st.tuples(INSIDE, INSIDE),
+                   st.builds(_ulps_off_a_line, st.floats(0.01, 0.99), st.booleans(),
+                             st.integers(-6, 6)))
 
 
 class TestClassifyRegion:
@@ -167,11 +195,62 @@ class TestPdf:
         monkeypatch.setattr(density, "appell_f1", spying("appell_f1", density.appell_f1))
         monkeypatch.setattr(density, "hyp2f1", spying("hyp2f1", density.hyp2f1))
         for tol in (1e-10, 1e-6):
-            pdf(GENERIC, 0.3, 0.6, tol=tol)
-            pdf(GENERIC, 0.3, 0.3, tol=tol)
+            pdf_closed_form(GENERIC, 0.3, 0.6, tol=tol)
+            pdf_closed_form(GENERIC, 0.3, 0.3, tol=tol)
         # the default passes the integrals' own defaults exactly
         assert seen == [("appell_f1", 1e-10), ("hyp2f1", 1e-11),
                         ("appell_f1", 1e-6), ("hyp2f1", pytest.approx(1e-7, rel=1e-15))]
+
+    def test_tol_reaches_the_batch_kernel(self, monkeypatch):
+        import bibeta.density as density
+        seen = []
+        kernel = density.integrate_unit_batch
+
+        def spy(p, q, smooth, n_rows, tol):
+            seen.append(tol)
+            return kernel(p, q, smooth, n_rows, tol)
+
+        monkeypatch.setattr(density, "integrate_unit_batch", spy)
+        for tol in (1e-10, 1e-6):
+            assert pdf(GENERIC, 0.3, 0.6, tol=tol).method == "quadrature"
+        assert seen == [1e-10, 1e-6]
+
+    @pytest.mark.parametrize("route", [pdf, pdf_quadrature, pdf_closed_form])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("weights,x,y", [
+        ((2.0, 3.0, 4.0, 5.0), 0.5, 0.5),       # center: a gamma-function value
+        ((0.4, 0.3, 0.4, 0.5), 0.3, 0.3),       # divergent diagonal: no integral
+        ((2.0, 3.0, 4.0, 5.0), 0.3, 0.6),       # interior
+    ])
+    def test_bad_tol_raises_at_every_point(self, route, tol, weights, x, y):
+        with pytest.raises(DomainError):
+            route(AlphaBivariate(*weights), x, y, tol=tol)
+
+    def test_convergence_error_carries_the_density(self, monkeypatch):
+        a = AlphaBivariate(2.0, 3.0, 4.0, 5.0)
+        converged = pdf(a, 0.3, 0.6)
+        _stall_kernel(monkeypatch)
+        with pytest.raises(ConvergenceError) as err:
+            pdf(a, 0.3, 0.6)
+        best = err.value.result
+        assert isinstance(best, DensityValue)
+        assert best.value == converged.value
+        assert best.error_estimate == converged.error_estimate
+
+    @pytest.mark.parametrize("line", sorted(HALF_LINES))
+    @pytest.mark.parametrize("weights", NEAR_LINE_SETS)
+    def test_matches_mpmath_near_the_lines(self, weights, line):
+        a = AlphaBivariate(*weights)
+        x0, y0, dx, dy = HALF_LINES[line]
+        for k in range(6, 16):
+            x, y = x0 + 10.0 ** -k * dx, y0 + 10.0 ** -k * dy
+            assert rel_diff(pdf(a, x, y).value, density_mpmath(weights, x, y)) <= 1e-10
+
+    @given(st.tuples(*[st.floats(-2.3, 2.5).map(math.exp)] * 4), POINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_no_convergence_error_inside_the_square(self, weights, point):
+        # a few ulps from a cut line included; an on-line point may read inf
+        assert pdf(AlphaBivariate(*weights), *point).value >= 0.0
 
 
 class TestPdfGrid:
@@ -217,18 +296,10 @@ class TestPdfGrid:
             if not expect_inf:
                 assert rel_diff(v, pdf_quadrature(a, x, y, tol=1e-10).value) <= 1e-12
 
-    def test_unconverged_cells_go_through_pdf(self, monkeypatch):
-        import bibeta.density as density
-        kernel = density.integrate_unit_batch
-
-        def stalled(*args, **kwargs):
-            out = kernel(*args, **kwargs)
-            return dataclasses.replace(out, converged=np.zeros_like(out.converged))
-
-        monkeypatch.setattr(density, "integrate_unit_batch", stalled)
-        grid = pdf_grid(GENERIC, resolution=3)
-        for x, y, v in grid:
-            assert v == pdf(GENERIC, x, y).value
+    def test_unconverged_cell_raises(self, monkeypatch):
+        _stall_kernel(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            pdf_grid(GENERIC, resolution=3)
 
     def test_rejects_degenerate_resolution(self):
         with pytest.raises(DomainError):

@@ -107,7 +107,7 @@ class TestIntegrateUnitBatch:
         # rows that need different depths stop on their own levels
         rates = np.array([0.0, 1.0, 8.0, 40.0])
 
-        def smooth(t, rows):
+        def smooth(t, one_minus_t, rows):
             return np.exp(-rates[rows][:, None] * t)
 
         batch = integrate_unit_batch(0.5, -0.3, smooth, rates.size, tol=1e-12)
@@ -124,19 +124,36 @@ class TestIntegrateUnitBatch:
         assert tables is _node_table(3, 40, 40)
         assert not any(a.flags.writeable for a in tables)
 
+    def test_one_minus_t_stays_positive_where_t_rounds_to_1(self):
+        from bibeta.special import _node_table
+        _, log_1mt, _, t, one_minus_t = _node_table(0, 40, 40)
+        last = t == np.nextafter(1.0, 0.0)
+        assert last.any()
+        assert np.all(one_minus_t > 0.0)
+        assert np.all(one_minus_t[last] < 1.0 - t[last])
+        # so a factor that nearly vanishes at t = 1 is resolved from it:
+        # integral of (1e-20 + (1-t))**-0.9 over (0, 1)
+        batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows:
+                                     (1e-20 + one_minus_t) ** -0.9, 1, tol=1e-12)
+        exact = 10.0 * ((1.0 + 1e-20) ** 0.1 - 1e-2)
+        assert batch.converged[0]
+        assert batch.value[0] == pytest.approx(exact, rel=1e-10)
+
     def test_unconverged_rows_are_flagged(self):
-        batch = integrate_unit_batch(-0.5, -0.5, lambda t, rows: np.ones((rows.size, t.size)),
+        batch = integrate_unit_batch(-0.5, -0.5,
+                                     lambda t, one_minus_t, rows: np.ones((rows.size, t.size)),
                                      3, tol=1e-10, max_levels=2)
         assert not batch.converged.any()
         assert np.all(np.isfinite(batch.value))
 
     def test_non_finite_interior_raises(self):
         with pytest.raises(DomainError):
-            integrate_unit_batch(0.0, 0.0, lambda t, rows: np.where(t > 0.5, np.inf, 1.0), 2)
+            integrate_unit_batch(0.0, 0.0,
+                                 lambda t, one_minus_t, rows: np.where(t > 0.5, np.inf, 1.0), 2)
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
-            integrate_unit_batch(-1.0, 0.0, lambda t, rows: 1.0, 1)
+            integrate_unit_batch(-1.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
 
 
 class TestHyp2F1:
