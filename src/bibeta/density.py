@@ -104,15 +104,19 @@ _GRID_CHUNK = 256
 class DensityValue:
     """A density value plus how it was obtained.
 
-    ``value`` may be ``math.inf`` where the defining integral diverges (on
-    the cut lines with too little weight in the relevant shares); it is never
-    negative or NaN.  ``error_estimate`` is only nonzero for the quadrature
-    route.
+    ``value`` is ``math.inf`` where the defining integral diverges (on the
+    cut lines with too little weight in the relevant shares), and then
+    ``diverged`` is True.  A finite density past the float range also reads
+    ``inf``, with ``diverged`` False.  ``value`` is never negative or NaN.
+    ``error_estimate`` is only nonzero for the quadrature route.  A caller
+    that leaves ``diverged`` out gets ``math.isinf(value)``; ``pdf`` and
+    ``pdf_closed_form`` always state it.
     """
 
-    __slots__ = ("value", "method", "error_estimate")
+    __slots__ = ("value", "method", "error_estimate", "diverged")
 
-    def __init__(self, value: float, method: str, error_estimate: float = 0.0):
+    def __init__(self, value: float, method: str, error_estimate: float = 0.0,
+                 diverged: bool | None = None):
         value = float(value)
         if math.isnan(value) or value < 0.0:
             raise DomainError(f"density value must be >= 0 or inf, got {value!r}")
@@ -120,17 +124,18 @@ class DensityValue:
             raise DomainError(f"method must be one of {_METHODS}, got {method!r}")
         if not error_estimate >= 0.0:
             raise DomainError("error_estimate must be >= 0")
+        if diverged is None:
+            diverged = math.isinf(value)
+        elif diverged and not math.isinf(value):
+            raise DomainError(f"a diverged density must be inf, got {value!r}")
         self.value = value
         self.method = method
         self.error_estimate = float(error_estimate)
-
-    @property
-    def diverged(self) -> bool:
-        return math.isinf(self.value)
+        self.diverged = bool(diverged)
 
     def __repr__(self):
         return (f"DensityValue(value={self.value!r}, method={self.method!r}, "
-                f"error_estimate={self.error_estimate!r})")
+                f"error_estimate={self.error_estimate!r}, diverged={self.diverged!r})")
 
 
 def _require_inside(x: float, y: float, tol: float) -> Region:
@@ -151,8 +156,10 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
 
     Every factor that vanishes at an endpoint moves into the endpoint
     exponents, which the pattern fixes; the rest stays in the smooth part.
-    Returns per-point ``(value, error_estimate, converged)``, which read
-    ``(inf, 0, True)`` without integrating where the integral diverges.
+    Returns per-point ``(value, error_estimate, converged)`` and whether
+    the integral diverges for the whole pattern; a divergent pattern reads
+    ``(inf, 0, True)`` without integrating.  A convergent integral whose
+    density overflows also reads ``inf``.
     """
     d0, s0 = d[0], x[0] - y[0]
     # the share range runs from max(0, d) up to min(x, y)
@@ -166,7 +173,7 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
     q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
     n = x.size
     if p <= -1.0 or q <= -1.0:
-        return np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool)
+        return np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool), True
 
     # (base, slope, exponent, from_right): base + slope*t, or from the top
     # |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its digits
@@ -203,7 +210,7 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
     with np.errstate(divide="ignore", over="ignore"):
         value = np.exp(ln_pref + np.log(batch.value))
         error = np.exp(ln_pref + np.log(batch.abs_error_estimate))
-    return value, error, batch.converged
+    return value, error, batch.converged, False
 
 
 def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
@@ -216,9 +223,9 @@ def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
     """
     x, y = float(x), float(y)
     _require_inside(x, y, tol)
-    value, error, converged = _density_batch(
+    value, error, converged, diverged = _density_batch(
         alpha, np.array([x]), np.array([y]), np.array([_sum_minus_one(x, y)]), tol)
-    result = DensityValue(value[0], "quadrature", error[0])
+    result = DensityValue(value[0], "quadrature", error[0], diverged=diverged)
     if not converged[0]:
         raise ConvergenceError(f"density at ({x!r}, {y!r}) did not reach tol={tol:g}",
                                result=result)
@@ -268,11 +275,12 @@ def _lower_triangle(alpha: AlphaBivariate, x: float, y: float, d: float,
     return math.exp(ln_pref) * f1
 
 
-def _diagonal_half(alpha: AlphaBivariate, x: float, tol: float) -> float:
-    # valid for x = y < 1/2; diverges unless the solo shares carry weight > 1
+def _diagonal_half(alpha: AlphaBivariate, x: float, tol: float) -> float | None:
+    # valid for x = y < 1/2; diverges (None) unless the solo shares carry
+    # weight > 1
     s = alpha.a10 + alpha.a01 - 1.0
     if s <= 0.0:
-        return math.inf
+        return None
     one_minus_2x = 1.0 - 2.0 * x
     ln_pref = (-ln_beta_multi(alpha.as_array())
                + ln_beta_multi((alpha.a11, s))
@@ -283,11 +291,12 @@ def _diagonal_half(alpha: AlphaBivariate, x: float, tol: float) -> float:
     return math.exp(ln_pref) * g
 
 
-def _antidiagonal_half(alpha: AlphaBivariate, x: float, y: float, tol: float) -> float:
-    # valid for x = 1 - y < 1/2; diverges unless shared + complement > 1
+def _antidiagonal_half(alpha: AlphaBivariate, x: float, y: float,
+                       tol: float) -> float | None:
+    # valid for x = 1 - y < 1/2; diverges (None) unless shared + complement > 1
     r = alpha.a11 + alpha.a00 - 1.0
     if r <= 0.0:
-        return math.inf
+        return None
     ln_pref = (-ln_beta_multi(alpha.as_array())
                + ln_beta_multi((alpha.a10, r))
                + (alpha.a10 + r - 1.0) * math.log(x)
@@ -296,11 +305,11 @@ def _antidiagonal_half(alpha: AlphaBivariate, x: float, y: float, tol: float) ->
     return math.exp(ln_pref) * g
 
 
-def _center(alpha: AlphaBivariate) -> float:
+def _center(alpha: AlphaBivariate) -> float | None:
     s = alpha.a10 + alpha.a01 - 1.0
     r = alpha.a11 + alpha.a00 - 1.0
     if s <= 0.0 or r <= 0.0:
-        return math.inf
+        return None
     m = alpha.total
     ln_f = (-ln_beta_multi(alpha.as_array()) + (3.0 - m) * math.log(2.0)
             + math.lgamma(s) + math.lgamma(r) - math.lgamma(m - 2.0))
@@ -339,13 +348,17 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
         v = _antidiagonal_half(alpha.reflected(), y, x, tol)
     else:
         v = _center(alpha)
-    return DensityValue(v, "closed_form")
+    if v is None:
+        return DensityValue(math.inf, "closed_form", diverged=True)
+    return DensityValue(v, "closed_form", diverged=False)
 
 
 def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
     """Density at (x, y) to relative tolerance ``tol``: ``pdf_quadrature``.
 
-    ``inf`` on a divergent cut line; ``DomainError`` off the open square or
+    ``inf`` with ``diverged`` True on a divergent cut line; ``inf`` with
+    ``diverged`` False where a finite density exceeds the float range, as
+    near a corner with small weights; ``DomainError`` off the open square or
     for a ``tol`` that is not finite and positive; ``ConvergenceError``,
     carrying the best ``DensityValue``, if the rule runs out of levels.
     """
@@ -375,7 +388,7 @@ def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
         cells = np.flatnonzero(pattern == key)
         for start in range(0, cells.size, _GRID_CHUNK):
             rows = cells[start:start + _GRID_CHUNK]
-            value, _, converged = _density_batch(alpha, x[rows], y[rows], d[rows], tol)
+            value, _, converged, _ = _density_batch(alpha, x[rows], y[rows], d[rows], tol)
             if not converged.all():
                 raise ConvergenceError(f"a grid cell did not reach tol={tol:g}")
             density[rows] = value

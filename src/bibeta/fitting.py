@@ -4,10 +4,11 @@ The estimator minimizes the squared distance between the five exact moments
 (two means, two variances, one covariance) and their targets, over strictly
 positive weights whose total stays below the feasibility bound implied by
 the marginal variances.  The search runs in log space with a Nelder-Mead
-simplex (scipy), a one-sided quadratic penalty for the total-weight bound,
-and one start at a closed-form initial inversion.  Jittered restarts around
-that inversion run only while the best start has failed to converge or ends
-with the penalty active, up to ``FitOptions.restarts`` starts in all.
+simplex (``minimize``, a port of scipy's, so fitting needs only numpy), a
+one-sided quadratic penalty for the total-weight bound, and one start at a
+closed-form initial inversion.  Jittered restarts around that inversion run
+only while the best start has failed to converge or ends with the penalty
+active, up to ``FitOptions.restarts`` starts in all.
 """
 
 from __future__ import annotations
@@ -129,11 +130,117 @@ def initial_guess(m: MomentVector) -> AlphaBivariate:
     return AlphaBivariate(*vals)
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call so that
-    importing bibeta does not pay for scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(fun, x0, **kwargs)
+class _MaxFevReached(Exception):
+    pass
+
+
+class SimplexResult:
+    """Outcome of ``minimize``: the best vertex, its value, the iteration
+    and evaluation counts, and whether the tolerances stopped the search.
+    A plain class, not a dataclass, which would add its build time to every
+    CLI start."""
+
+    __slots__ = ("x", "fun", "nit", "nfev", "success")
+
+    def __init__(self, x: np.ndarray, fun: float, nit: int, nfev: int, success: bool):
+        self.x, self.fun, self.nit, self.nfev, self.success = x, fun, nit, nfev, success
+
+
+def minimize(fun, x0, *, maxiter: int, maxfev: int, xatol: float,
+             fatol: float) -> SimplexResult:
+    """Nelder-Mead simplex search (Nelder & Mead 1965) from ``x0``.
+
+    Stops once the simplex spans at most ``xatol`` in every coordinate and
+    ``fatol`` in value (``success``), or after ``maxiter`` iterations or
+    ``maxfev`` evaluations.
+
+    A port of scipy's ``_minimize_neldermead`` (scipy.optimize, BSD-3-Clause,
+    Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers) for
+    the case ``_fit`` uses: standard coefficients (``adaptive=False``), no
+    bounds, no callback.  The initial simplex, the operation order and the
+    evaluation accounting are scipy's, so ``x``, ``fun``, ``nit``, ``nfev``
+    and ``success`` agree with ``scipy.optimize.minimize(method="Nelder-Mead")``
+    bit for bit.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten()
+    n = x0.size
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFevReached
+        nfev += 1
+        return float(fun(np.copy(x)))
+
+    # each vertex past the first moves one coordinate by 5% (or to 0.00025)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFevReached:
+        pass
+    # sorted twice, as scipy does: argsort is not stable, so the second sort
+    # may reorder ties
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    # reflection 1, expansion 2, contraction 1/2, shrink 1/2
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    shrink = not fxc <= fxr
+                    if not shrink:
+                        sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # inside contraction
+                    xcc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxcc = f(xcc)
+                    shrink = not fxcc < fsim[-1]
+                    if not shrink:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                if shrink:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _MaxFevReached:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    return SimplexResult(x=sim[0], fun=float(np.min(fsim)), nit=iterations, nfev=nfev,
+                         success=nfev < maxfev and iterations < maxiter)
 
 
 def _third_order_targets(data) -> tuple:
@@ -175,12 +282,9 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
     used = 0
     for r in range(opts.restarts):
         theta0 = theta_base if r == 0 else theta_base + rng.uniform(-0.3, 0.3, size=4)
-        res = minimize(penalized, theta0, method="Nelder-Mead",
-                       options={"maxiter": opts.max_iterations,
-                                "maxfev": 8 * opts.max_iterations,
-                                "xatol": 1e-10,
-                                "fatol": opts.objective_tolerance,
-                                "adaptive": False})
+        res = minimize(penalized, theta0, maxiter=opts.max_iterations,
+                       maxfev=8 * opts.max_iterations, xatol=1e-10,
+                       fatol=opts.objective_tolerance)
         used = r + 1
         if best is None or res.fun < best.fun:
             best = res

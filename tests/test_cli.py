@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,13 +9,28 @@ import numpy as np
 import pytest
 
 import bibeta
-from bibeta.cli import main
+from bibeta.cli import _read_pairs, main
+from bibeta.construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
+                                 sample_bivariate, sample_trivariate)
+from bibeta.density import pdf_grid
+from bibeta.moments import correlation_table
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def reference_csv(header, rows) -> str:
+    """CSV text from ``csv.writer`` with 17 significant digits per value,
+    one row at a time: the reference for the CLI's block formatter."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" for v in row])
+    return buf.getvalue()
 
 
 class TestBasicCommands:
@@ -167,6 +184,20 @@ class TestFitCommand:
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "False"
 
+    def test_fit_run_leaves_scipy_unloaded(self, tmp_path):
+        data_path = tmp_path / "data.csv"
+        draws = sample_bivariate(AlphaBivariate(2, 3, 4, 5), 500, RandomStream(1))
+        data_path.write_text(reference_csv(("x", "y"), draws))
+        src = os.path.dirname(os.path.dirname(bibeta.__file__))
+        probe = ("import sys; from bibeta.cli import main; "
+                 f"code = main(['fit', '--input', {str(data_path)!r}, "
+                 f"'--output', {str(tmp_path / 'fit.json')!r}]); "
+                 "print(code, 'scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.split() == ["0", "False"]
+
     def test_degenerate_input_exit_4(self, capsys, tmp_path):
         data_path = tmp_path / "flat.csv"
         data_path.write_text("x,y\n" + "0.4,0.6\n" * 50)
@@ -242,3 +273,87 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "grid", "--alpha", "1,1,1,1",
                              "--resolution", "1")
         assert code == 2
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("block", [7, 1 << 16])
+    def test_bivariate_sample(self, capsys, monkeypatch, block):
+        # a small block size crosses block boundaries, with a partial last one
+        monkeypatch.setattr(bibeta.cli, "_CSV_BLOCK", block)
+        code, out, _ = run_cli(capsys, "sample", "--alpha", "2,3,4,5", "--n", "500",
+                               "--seed", "7")
+        assert code == 0
+        draws = sample_bivariate(AlphaBivariate(2, 3, 4, 5), 500, RandomStream(7))
+        assert out == reference_csv(("x", "y"), draws)
+
+    def test_trivariate_sample(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--alpha", "1,2,3,4,5,6,7,8",
+                               "--n", "300", "--seed", "3")
+        assert code == 0
+        draws = sample_trivariate(AlphaTrivariate(1, 2, 3, 4, 5, 6, 7, 8), 300,
+                                  RandomStream(3))
+        assert out == reference_csv(("x", "y", "z"), draws)
+
+    def test_empty_sample_is_the_header(self, capsys):
+        code, out, _ = run_cli(capsys, "sample", "--alpha", "1,1,1,1", "--n", "0")
+        assert code == 0
+        assert out == "x,y\n" == reference_csv(("x", "y"), [])
+
+    def test_grid_with_inf_cells(self, capsys):
+        code, out, _ = run_cli(capsys, "grid", "--alpha", "0.5,0.5,0.5,0.5",
+                               "--resolution", "5")
+        assert code == 0
+        grid = pdf_grid(AlphaBivariate(0.5, 0.5, 0.5, 0.5), resolution=5)
+        assert np.isinf(grid[:, 2]).any()
+        assert out == reference_csv(("x", "y", "density"), grid)
+        assert ",inf\n" in out
+
+    def test_table(self, capsys):
+        code, out, _ = run_cli(capsys, "table")
+        assert code == 0
+        header = ("a11", "a10", "a01", "corr_a00_10", "corr_a00_5", "corr_a00_2",
+                  "corr_a00_1", "corr_a00_0.5", "corr_a00_0.1")
+        assert out == reference_csv(header, correlation_table())
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("text", [
+        "y,x\n0.2,0.1\n0.4,0.3\n",
+        "id,x,y\nfirst,0.1,0.2\nsecond,0.3,0.4\n",
+        "X,Y\n0.1,0.2\n0.3,0.4\n",
+        " x , Y \n0.1, 0.2 \n 0.3,0.4\n",
+        'x,y,note\n"0.1","0.2","a,b"\n0.3,"0.4",c\n',
+        "x,y\n\n0.1,0.2\n\n\n0.3,0.4\n\n",
+        "x,y\r\n0.1,0.2\r\n\r\n0.3,0.4\r\n",
+    ], ids=["y-first", "extra-column", "upper-case", "padded", "quoted", "blank-lines",
+            "crlf"])
+    def test_accepts(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        data = _read_pairs(str(path))
+        assert data.shape == (2, 2)
+        assert data.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+
+    def test_rejects_non_utf8_input(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"x,y\n0.1,0.2\n0.3,\xff\n0.5,0.6\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 3
+        assert out == "" and err.startswith("error: cannot read input file:")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x,y\n0.1,0.2\n0.3,oops\n", "bad row 3 in input CSV: ['0.3', 'oops']"),
+        ("x,y\n0.1,0.2\n0.3\n0.5,0.6\n", "bad row 3 in input CSV: ['0.3']"),
+        ("x,y\n0.1,0.2\n   \n0.3,0.4\n", "bad row 3 in input CSV: ['   ']"),
+        ("x,y\n0.1,0.2#c\n0.3,0.4\n", "bad row 2 in input CSV: ['0.1', '0.2#c']"),
+        ("x,y\n0.1,0.2\n# note\n0.3,0.4\n", "bad row 3 in input CSV: ['# note']"),
+        ("x,y\n\n", "input CSV has no data rows"),
+    ], ids=["non-numeric", "short-row", "whitespace-row", "hash-in-cell", "hash-row",
+            "header-only"])
+    def test_rejects_with_exit_3(self, capsys, tmp_path, text, message):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: {message}\n"

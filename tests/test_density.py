@@ -316,3 +316,20 @@ class TestDensityValue:
             DensityValue(1.0, "guesswork")
         v = DensityValue(math.inf, "closed_form")
         assert v.diverged
+
+    def test_diverged_needs_an_inf_value(self):
+        with pytest.raises(DomainError):
+            DensityValue(1.0, "quadrature", diverged=True)
+        assert not DensityValue(math.inf, "quadrature", diverged=False).diverged
+
+    def test_overflow_inside_the_square_is_not_divergence(self):
+        # a finite density of order 1e507, past the float range
+        v = pdf(AlphaBivariate(0.1, 0.1, 0.1, 0.1), 1e-300, 2e-300)
+        assert math.isinf(v.value) and not v.diverged
+
+    def test_divergent_line_is_flagged(self):
+        # a10 + a01 = 0.7 <= 1: the integral diverges on the diagonal
+        alpha = AlphaBivariate(0.4, 0.3, 0.4, 0.5)
+        for v in (pdf(alpha, 0.3, 0.3), pdf_closed_form(alpha, 0.3, 0.3)):
+            assert math.isinf(v.value) and v.diverged
+        assert not pdf(alpha, 0.3, 0.4).diverged

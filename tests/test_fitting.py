@@ -11,6 +11,7 @@ from bibeta.fitting import (
     fit_data,
     fit_moments,
     initial_guess,
+    minimize as nelder_mead,
     objective,
     sample_central_moments,
 )
@@ -241,3 +242,65 @@ class TestFitOptions:
     def test_validation(self, kwargs):
         with pytest.raises(DomainError):
             FitOptions(**kwargs)
+
+
+def _scipy_nelder_mead(fun, x0, *, maxiter, maxfev, xatol, fatol):
+    from scipy.optimize import minimize
+    return minimize(fun, x0, method="Nelder-Mead",
+                    options={"maxiter": maxiter, "maxfev": maxfev, "xatol": xatol,
+                             "fatol": fatol, "adaptive": False})
+
+
+def _assert_bitwise_equal(port, ref):
+    assert port.x.tobytes() == np.asarray(ref.x, dtype=float).tobytes()
+    assert float(port.fun).hex() == float(ref.fun).hex()
+    assert (port.nit, port.nfev, port.success) == (ref.nit, ref.nfev, bool(ref.success))
+
+
+class TestNelderMeadPort:
+    """``fitting.minimize`` against scipy's Nelder-Mead on ``_fit``'s own
+    penalized objective, start by start."""
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        real = fitting.minimize
+        seen = []
+
+        def both(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            seen.append((fun, x0, kwargs, res, _scipy_nelder_mead(fun, x0, **kwargs)))
+            return res
+
+        monkeypatch.setattr(fitting, "minimize", both)
+        return seen
+
+    def test_reference_sample_fit(self, starts):
+        fit_data(sample_bivariate(REFERENCE_ALPHA, 10 ** 6, RandomStream(301)))
+        assert len(starts) == 1
+        for *_, port, ref in starts:
+            assert port.success
+            _assert_bitwise_equal(port, ref)
+
+    def test_third_order_fit(self, starts):
+        fit_data(sample_bivariate(REFERENCE_ALPHA, 10 ** 5, RandomStream(303)),
+                 match_third_order=True)
+        assert starts
+        for *_, port, ref in starts:
+            _assert_bitwise_equal(port, ref)
+
+    def test_unconverged_starts(self, starts):
+        fit_moments(M_EXACT, FitOptions(max_iterations=1, restarts=3))
+        assert len(starts) == 3
+        for *_, port, ref in starts:
+            assert not port.success and port.nit == 1
+            _assert_bitwise_equal(port, ref)
+
+    @pytest.mark.parametrize("maxfev", [3, 37])
+    def test_evaluation_cap(self, starts, maxfev):
+        # 3 stops inside the initial simplex, 37 in the middle of a search
+        fit_moments(M_PERTURBED)
+        fun, x0, kwargs = starts[0][:3]
+        kwargs = dict(kwargs, maxfev=maxfev)
+        port = nelder_mead(fun, x0, **kwargs)
+        assert port.nfev == maxfev and not port.success
+        _assert_bitwise_equal(port, _scipy_nelder_mead(fun, x0, **kwargs))
