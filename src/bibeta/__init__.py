@@ -14,8 +14,8 @@ from .baselines import (ArnoldParams, LibbyNovickParams, pdf_libby_novick,
 from .construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
                            sample_bivariate, sample_dirichlet, sample_gamma,
                            sample_trivariate)
-from .density import (DensityValue, Region, classify_region, pdf,
-                      pdf_closed_form, pdf_grid, pdf_quadrature)
+from .density import (DensityArrays, DensityValue, Region, classify_region, pdf,
+                      pdf_closed_form, pdf_grid, pdf_points, pdf_quadrature)
 from .errors import (BibetaError, ConvergenceError, DegenerateDataError,
                      DomainError, InfeasibleMomentsError)
 from .fitting import (FitOptions, FitResult, alpha_sum_bound, fit_data,
@@ -36,8 +36,8 @@ __all__ = [
     "integrate_unit", "hyp2f1", "appell_f1",
     "AlphaBivariate", "AlphaTrivariate", "RandomStream",
     "sample_gamma", "sample_dirichlet", "sample_bivariate", "sample_trivariate",
-    "Region", "classify_region", "DensityValue",
-    "pdf", "pdf_closed_form", "pdf_quadrature", "pdf_grid",
+    "Region", "classify_region", "DensityValue", "DensityArrays",
+    "pdf", "pdf_closed_form", "pdf_quadrature", "pdf_points", "pdf_grid",
     "MomentVector", "moment_vector", "correlation", "correlation_table",
     "mixed_moment", "central_moment",
     "FitOptions", "FitResult", "sample_central_moments", "alpha_sum_bound",

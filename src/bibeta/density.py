@@ -9,7 +9,8 @@ of the common share u:
 
 ``pdf`` is ``pdf_quadrature``: the integral, rescaled to (0, 1) with every
 distance to an end of the share range formed without cancellation, under the
-tanh-sinh rule; ``pdf_grid`` batches it.  ``pdf_closed_form`` keeps the
+tanh-sinh rule.  ``pdf_points`` batches it over arrays of points, and
+``pdf_grid`` is ``pdf_points`` on a lattice.  ``pdf_closed_form`` keeps the
 paper's hypergeometric expression (Appell F1 off the diagonals, Gauss 2F1 on
 them) as a reference.  The unit square splits into four open triangles,
 cut by x = y and x + y = 1, and the closed forms take a shape on each.
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +49,8 @@ __all__ = [
     "pdf_quadrature",
     "pdf_closed_form",
     "pdf",
+    "pdf_points",
+    "DensityArrays",
     "pdf_grid",
 ]
 
@@ -97,8 +101,8 @@ def classify_region(x: float, y: float) -> Region:
 
 _METHODS = ("closed_form", "quadrature")
 
-# lattice cells per batched kernel call: bounds the (cells x nodes) arrays
-_GRID_CHUNK = 256
+# points per batched kernel call: bounds the (points x nodes) arrays
+_CHUNK = 256
 
 
 class DensityValue:
@@ -108,12 +112,14 @@ class DensityValue:
     cut lines with too little weight in the relevant shares), and then
     ``diverged`` is True.  A finite density past the float range also reads
     ``inf``, with ``diverged`` False.  ``value`` is never negative or NaN.
-    ``error_estimate`` is only nonzero for the quadrature route.  A caller
-    that leaves ``diverged`` out gets ``math.isinf(value)``; ``pdf`` and
-    ``pdf_closed_form`` always state it.
+    ``error_estimate`` is only nonzero for the quadrature route, and
+    ``evaluations`` counts the integrand evaluations it spent (0 for the
+    closed form and on a divergent line).  A caller that leaves ``diverged``
+    out gets ``math.isinf(value)``; ``pdf`` and ``pdf_closed_form`` always
+    state it.
     """
 
-    __slots__ = ("value", "method", "error_estimate", "diverged")
+    __slots__ = ("value", "method", "error_estimate", "diverged", "evaluations")
 
     def __init__(self, value: float, method: str, error_estimate: float = 0.0,
                  diverged: bool | None = None):
@@ -132,10 +138,23 @@ class DensityValue:
         self.method = method
         self.error_estimate = float(error_estimate)
         self.diverged = bool(diverged)
+        self.evaluations = 0
+
+    @classmethod
+    def _quadrature(cls, value, error_estimate, diverged, evaluations):
+        # unchecked: _density_batch yields only values __init__ accepts
+        self = object.__new__(cls)
+        self.value = float(value)
+        self.method = "quadrature"
+        self.error_estimate = float(error_estimate)
+        self.diverged = diverged
+        self.evaluations = int(evaluations)
+        return self
 
     def __repr__(self):
         return (f"DensityValue(value={self.value!r}, method={self.method!r}, "
-                f"error_estimate={self.error_estimate!r}, diverged={self.diverged!r})")
+                f"error_estimate={self.error_estimate!r}, diverged={self.diverged!r}, "
+                f"evaluations={self.evaluations!r})")
 
 
 def _require_inside(x: float, y: float, tol: float) -> Region:
@@ -156,10 +175,10 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
 
     Every factor that vanishes at an endpoint moves into the endpoint
     exponents, which the pattern fixes; the rest stays in the smooth part.
-    Returns per-point ``(value, error_estimate, converged)`` and whether
-    the integral diverges for the whole pattern; a divergent pattern reads
-    ``(inf, 0, True)`` without integrating.  A convergent integral whose
-    density overflows also reads ``inf``.
+    Returns per-point ``(value, error_estimate, converged, evaluations)``
+    and whether the integral diverges for the whole pattern; a divergent
+    pattern reads ``(inf, 0, True, 0)`` without integrating.  A convergent
+    integral whose density overflows also reads ``inf``.
     """
     d0, s0 = d[0], x[0] - y[0]
     # the share range runs from max(0, d) up to min(x, y)
@@ -173,7 +192,8 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
     q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
     n = x.size
     if p <= -1.0 or q <= -1.0:
-        return np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool), True
+        return (np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool),
+                np.zeros(n, dtype=np.int64), True)
 
     # (base, slope, exponent, from_right): base + slope*t, or from the top
     # |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its digits
@@ -196,21 +216,22 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
     def smooth(t, one_minus_t, rows):
         # no re-indexing while every row is active
         every = rows.size == n
-        out = 1.0
+        out = None
         for base, slope, e, from_right in terms:
             if not every:
                 base, slope = base[rows], slope[rows]
-            out = out * np.power(base + slope * (one_minus_t if from_right else t), e)
-        return out
+            f = np.power(base + slope * (one_minus_t if from_right else t), e)
+            out = f if out is None else out * f
+        return 1.0 if out is None else out
 
     batch = integrate_unit_batch(p, q, smooth, n, tol)
-    ln_pref = (1.0 + p + q) * np.log(scale) + ln_unit - ln_beta_multi(alpha.as_array())
+    ln_pref = (1.0 + p + q) * np.log(scale) + ln_unit - ln_beta_multi(
+        (alpha.a11, alpha.a10, alpha.a01, alpha.a00))
     # in logs: a prefactor past the float range meets its integral first, and
     # a density that still overflows reads inf, not inf * 0 = nan in its error
     with np.errstate(divide="ignore", over="ignore"):
-        value = np.exp(ln_pref + np.log(batch.value))
-        error = np.exp(ln_pref + np.log(batch.abs_error_estimate))
-    return value, error, batch.converged, False
+        value, error = np.exp(ln_pref + np.log((batch.value, batch.abs_error_estimate)))
+    return value, error, batch.converged, batch.evaluations, False
 
 
 def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
@@ -223,9 +244,9 @@ def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
     """
     x, y = float(x), float(y)
     _require_inside(x, y, tol)
-    value, error, converged, diverged = _density_batch(
+    value, error, converged, evaluations, diverged = _density_batch(
         alpha, np.array([x]), np.array([y]), np.array([_sum_minus_one(x, y)]), tol)
-    result = DensityValue(value[0], "quadrature", error[0], diverged=diverged)
+    result = DensityValue._quadrature(value[0], error[0], diverged, evaluations[0])
     if not converged[0]:
         raise ConvergenceError(f"density at ({x!r}, {y!r}) did not reach tol={tol:g}",
                                result=result)
@@ -365,15 +386,64 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
     return pdf_quadrature(alpha, x, y, tol=tol)
 
 
+class DensityArrays(NamedTuple):
+    """Per-point results of ``pdf_points``, each shaped like the input."""
+
+    value: np.ndarray
+    error_estimate: np.ndarray
+    diverged: np.ndarray
+    evaluations: np.ndarray
+
+
+def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays:
+    """``pdf`` at many points at once: arrays of value, error estimate,
+    ``diverged`` and evaluations, shaped like ``x`` and ``y`` broadcast.
+
+    Points are grouped by their sign pattern of (x + y - 1, x - y), which
+    fixes the integrand's endpoint exponents, and each group runs through
+    ``pdf_quadrature``'s integrand in batched kernel calls of up to 256
+    points.  Points on the cut lines and the center follow ``pdf``'s rules.
+    ``DomainError`` if any point lies off the open square or for a bad
+    ``tol``; ``ConvergenceError`` if any point runs out of levels.
+    """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    inside = (0.0 < x) & (x < 1.0) & (0.0 < y) & (y < 1.0)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise DomainError(f"point ({float(x[i])!r}, {float(y[i])!r}) lies outside "
+                          "the open unit square")
+    d = _sum_minus_one(x, y)
+    value = np.empty(x.size)
+    error = np.empty(x.size)
+    diverged = np.zeros(x.size, dtype=bool)
+    evaluations = np.empty(x.size, dtype=np.int64)
+    pattern = 3 * np.sign(d) + np.sign(x - y)
+    for key in np.unique(pattern):
+        points = np.flatnonzero(pattern == key)
+        for start in range(0, points.size, _CHUNK):
+            rows = points[start:start + _CHUNK]
+            v, e, converged, n, div = _density_batch(alpha, x[rows], y[rows], d[rows], tol)
+            if not converged.all():
+                i = rows[np.argmin(converged)]
+                raise ConvergenceError(f"density at ({float(x[i])!r}, {float(y[i])!r}) "
+                                       f"did not reach tol={tol:g}")
+            value[rows], error[rows], evaluations[rows], diverged[rows] = v, e, n, div
+    return DensityArrays(value.reshape(shape), error.reshape(shape),
+                         diverged.reshape(shape), evaluations.reshape(shape))
+
+
 def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
              tol: float = 1e-10) -> np.ndarray:
     """Density on the cell-midpoint lattice ((i+1/2)/R, (j+1/2)/R).
 
     Returns an (R*R, 3) array of rows (x, y, density), the first coordinate
     varying slowest.  Cells sitting exactly on a divergent cut line hold the
-    infinity marker.  Cells are grouped by their sign pattern of
-    (x + y - 1, x - y) and run through ``pdf_quadrature``'s integrand in
-    batched kernel calls; an unconverged cell raises ``ConvergenceError``.
+    infinity marker.  The lattice goes through ``pdf_points``; an
+    unconverged cell raises ``ConvergenceError``.
     """
     resolution = int(resolution)
     if resolution < 2:
@@ -381,15 +451,4 @@ def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
     axis = (np.arange(resolution) + 0.5) / resolution
     x = np.repeat(axis, resolution)
     y = np.tile(axis, resolution)
-    d = _sum_minus_one(x, y)
-    density = np.empty(x.size)
-    pattern = 3 * np.sign(d) + np.sign(x - y)
-    for key in np.unique(pattern):
-        cells = np.flatnonzero(pattern == key)
-        for start in range(0, cells.size, _GRID_CHUNK):
-            rows = cells[start:start + _GRID_CHUNK]
-            value, _, converged, _ = _density_batch(alpha, x[rows], y[rows], d[rows], tol)
-            if not converged.all():
-                raise ConvergenceError(f"a grid cell did not reach tol={tol:g}")
-            density[rows] = value
-    return np.column_stack((x, y, density))
+    return np.column_stack((x, y, pdf_points(alpha, x, y, tol).value))

@@ -12,6 +12,16 @@ built once, on first use, and shared: ``integrate_unit_batch`` sweeps many
 integrands with the same endpoint exponents over them at once, and
 ``integrate_unit`` is a batch of one.
 
+The endpoint weights ``exp(p1*log t + q1*log(1-t) + log(pi cosh u))`` are
+cached too, per (levels, p + 1, q + 1, node budget), in a least-recently-used
+cache of at most 256 read-only entries, each filled only when a call first
+reaches its levels.  Every row runs levels 0-2 before the stopping rule may
+end it, so those three levels form one entry: their nodes go through the
+smooth factor in one call, and the three level sums are taken by slices.
+Each later level is an entry of its own.  The nodes, the sums and the
+stopping rule are those of a level-by-level sweep, so the results equal that
+sweep's bit for bit.
+
 Gauss and Appell hypergeometric values are computed from their Euler integral
 representations through that one quadrature path.  Power-series evaluation is
 deliberately not used here; the test suite keeps independent series oracles.
@@ -20,6 +30,7 @@ deliberately not used here; the test suite keeps independent series oracles.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -142,21 +153,40 @@ def _node_table(level: int, k_left: int, k_right: int):
     return log_t, log_1mt, log_jac, t, one_minus_t
 
 
-def _level_sum(level, p1, q1, smooth, rows, budget):
-    """Sum of weight times smooth factor over the nodes level ``level``
-    adds, one entry per row in ``rows`` (or one for all of them), and the
-    number of those nodes."""
-    h = 2.0 ** -level
-    log_t, log_1mt, log_jac, t, one_minus_t = _node_table(
-        level, _node_cap(h, p1, budget), _node_cap(h, q1, budget))
-    w = np.exp(p1 * log_t + q1 * log_1mt + log_jac)
-    with np.errstate(invalid="ignore", over="ignore"):
-        sm = np.asarray(smooth(t, one_minus_t, rows), dtype=float)
-        vals = np.where(w > 0.0, w * sm, 0.0)
+@functools.lru_cache(maxsize=256)
+def _weighted_nodes(levels: tuple, p1: float, q1: float, budget: int):
+    """Read-only ``(t, 1-t, weight, ends)`` over the nodes that ``levels``
+    add, concatenated in that order, with ``weight = exp(p1*log t +
+    q1*log(1-t) + log(pi cosh u))``; the nodes of ``levels[i]`` end at offset
+    ``ends[i]``.  Filled only for the levels a call reaches."""
+    parts = []
+    for level in levels:
+        h = 2.0 ** -level
+        log_t, log_1mt, log_jac, t, one_minus_t = _node_table(
+            level, _node_cap(h, p1, budget), _node_cap(h, q1, budget))
+        parts.append((t, one_minus_t, np.exp(p1 * log_t + q1 * log_1mt + log_jac)))
+    if len(parts) == 1:
+        t, one_minus_t, w = parts[0]
+    else:
+        t, one_minus_t, w = (np.concatenate(a) for a in zip(*parts))
+    for a in (t, one_minus_t, w):
+        a.flags.writeable = False
+    ends = tuple(itertools.accumulate(part[0].size for part in parts))
+    return t, one_minus_t, w, ends
+
+
+def _level_sums(levels, p1, q1, smooth, rows, budget):
+    """Sums of weight times smooth factor over the nodes each of ``levels``
+    adds, one entry per row in ``rows`` (or one for all of them), from one
+    ``smooth`` call; and the number of those nodes."""
+    t, one_minus_t, w, ends = _weighted_nodes(levels, p1, q1, budget)
+    sm = np.asarray(smooth(t, one_minus_t, rows), dtype=float)
+    vals = np.where(w > 0.0, w * sm, 0.0)
     if not np.isfinite(vals).all():
         raise DomainError("integrand is not finite at interior nodes; "
                           "declare endpoint singularities via the exponents")
-    return vals.sum(axis=-1), t.size
+    starts = (0,) + ends[:-1]
+    return [vals[..., a:b].sum(axis=-1) for a, b in zip(starts, ends)], t.size
 
 
 @dataclass(frozen=True)
@@ -177,7 +207,8 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
     """Integrate ``t**p * (1-t)**q * smooth(t, row)`` over (0, 1) for
     ``n_rows`` integrands that share the endpoint exponents ``p`` and ``q``.
 
-    ``smooth(t, one_minus_t, active)`` gets the level's nodes, ``1 - t``
+    ``smooth(t, one_minus_t, active)`` gets nodes (those of levels 0-2
+    together, up to ``max_levels``, then one level's at a time), ``1 - t``
     (positive where ``t`` rounds to 1) and the indices of the rows still
     iterating, and returns their smooth factors as an ``(active.size,
     t.size)`` array, or anything that broadcasts to it.  It is only called
@@ -194,32 +225,43 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
     value = np.empty(n_rows)
     err = np.empty(n_rows)
     evals = np.empty(n_rows, dtype=np.int64)
+    converged = np.zeros(n_rows, dtype=bool)
 
+    # every row runs levels 0-2, so their nodes go through one smooth call;
+    # level 0 runs even when max_levels < 1, and its estimate is returned;
     # v, e: estimate and last inter-level difference of the rows in `active`
+    first = tuple(range(max(1, min(3, max_levels))))
     active = np.arange(n_rows)
-    total, spent = _level_sum(0, p1, q1, smooth, active, max_nodes_per_level)
-    v = np.zeros(n_rows) + total         # h = 1 at level 0
-    e = np.full(n_rows, math.inf)
-    for level in range(1, max_levels):
-        new_sum, n = _level_sum(level, p1, q1, smooth, active, max_nodes_per_level)
-        spent += n
-        new = v / 2.0 + 2.0 ** -level * new_sum
-        e = np.abs(new - v)
-        v = new
-        if level < 2:
-            continue
-        done = e <= tol * np.maximum(np.abs(v), 1e-280)
-        if done.any():
-            stop = active[done]
-            value[stop], err[stop], evals[stop] = v[done], e[done], spent
-            keep = ~done
-            active, v, e = active[keep], v[keep], e[keep]
-            if not active.size:
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums, spent = _level_sums(first, p1, q1, smooth, active, max_nodes_per_level)
+        v = np.zeros(n_rows) + sums[0]       # h = 1 at level 0
+        e = np.full(n_rows, math.inf)
+        for level in range(1, max_levels):
+            if level < len(first):
+                new_sum = sums[level]
+            else:
+                (new_sum,), n = _level_sums((level,), p1, q1, smooth, active,
+                                            max_nodes_per_level)
+                spent += n
+            new = v / 2.0 + 2.0 ** -level * new_sum
+            e = np.abs(new - v)
+            v = new
+            if level < 2:
+                continue
+            done = e <= tol * np.maximum(np.abs(v), 1e-280)
+            stopping = np.count_nonzero(done)
+            if stopping == active.size:
+                converged[active] = True
                 break
+            if stopping:
+                stop = active[done]
+                value[stop], err[stop], evals[stop] = v[done], e[done], spent
+                converged[stop] = True
+                keep = ~done
+                active, v, e = active[keep], v[keep], e[keep]
 
+    # the rows that stopped last, or ran out of levels
     value[active], err[active], evals[active] = v, e, spent
-    converged = np.ones(n_rows, dtype=bool)
-    converged[active] = False
     return BatchQuadrature(value, err, evals, converged)
 
 

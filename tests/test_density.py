@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bibeta.construction import AlphaBivariate
 from bibeta.density import (DensityValue, Region, classify_region, pdf,
-                            pdf_closed_form, pdf_grid, pdf_quadrature)
+                            pdf_closed_form, pdf_grid, pdf_points, pdf_quadrature)
 from bibeta.errors import ConvergenceError, DomainError
 from oracles import density_mpmath, density_riemann
 
@@ -46,6 +46,89 @@ INSIDE = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 POINTS = st.one_of(st.tuples(INSIDE, INSIDE),
                    st.builds(_ulps_off_a_line, st.floats(0.01, 0.99), st.booleans(),
                              st.integers(-6, 6)))
+
+
+# pdf at fixed points, pinned bit for bit: interior points in each triangle,
+# points 1e-6 to 1e-14 off each half-line, dyadic on-line points and the
+# center.  Rows are (weight set, x, y, value, error_estimate, evaluations),
+# with value and error_estimate as float.hex.  A change to the stopping rule
+# near the cut lines will move the near-line rows, and is expected to; the
+# stopping-rule miss at (3.8757..., 0.7802715121...) recorded in CHANGES.md
+# is a separate point and is not pinned here.
+PINNED_SETS = [(2.0, 3.0, 4.0, 5.0), (0.5, 0.7, 0.8, 0.6), (0.4, 0.3, 0.4, 0.5),
+               (10.0, 0.1, 0.1, 10.0)]
+PINNED = [
+    (0, 0.2, 0.35, "0x1.155ee085ae834p+2", "0x1.14c1a8ac5c132p-50", 170),
+    (0, 0.45, 0.15, "0x1.11f7442a76bf2p-1", "0x1.278a4d7f0ed26p-54", 166),
+    (0, 0.55, 0.8, "0x1.6332719ab69dep-5", "0x0.0p+0", 155),
+    (0, 0.85, 0.6, "0x1.152a341ab4986p-10", "0x0.0p+0", 151),
+    (0, 0.30000099999999996, 0.3, "0x1.81f329ab0677ep+2", "0x0.0p+0", 166),
+    (0, 0.29999999, 0.3, "0x1.81f2f47934e08p+2", "0x0.0p+0", 170),
+    (0, 0.6999999999, 0.7, "0x1.bd397bf983b77p-5", "0x1.feb18c0ec18f9p-57", 155),
+    (0, 0.7000000000009999, 0.7, "0x1.bd397beb72e72p-5", "0x1.7f05290ada54dp-56", 151),
+    (0, 0.3, 0.69999999999999, "0x1.14c5967b15f92p+0", "0x0.0p+0", 170),
+    (0, 0.3, 0.700001, "0x1.14c45fc284781p+0", "0x1.2ea0e014d6a7cp-53", 155),
+    (0, 0.7, 0.30000001, "0x1.d701e0cb2d629p-3", "0x1.c5f325acc29f7p-55", 151),
+    (0, 0.7, 0.2999999999, "0x1.d701e003e9d26p-3", "0x1.06b3d316770c6p-55", 166),
+    (0, 0.25, 0.25, "0x1.9ce62ffffffedp+1", "0x1.49eb5fffffffcp-51", 159),
+    (0, 0.375, 0.625, "0x1.6ad5c381ffff9p+1", "0x0.0p+0", 152),
+    (0, 0.5, 0.5, "0x1.e77fffffffff3p+1", "0x1.49eb5ffffffe8p-49", 141),
+    (1, 0.2, 0.35, "0x1.19ec25975b011p+0", "0x1.79edff48f230ap-42", 108),
+    (1, 0.45, 0.15, "0x1.b2390425feaa9p-1", "0x1.a7dabfda30033p-47", 107),
+    (1, 0.55, 0.8, "0x1.c6d41d302d633p-1", "0x1.5a5ddfd4bc69fp-43", 106),
+    (1, 0.85, 0.6, "0x1.468ac50174e52p-1", "0x1.2500a6c188be6p-49", 105),
+    (1, 0.30000001, 0.3, "0x1.720bba07c4f71p+0", "0x1.46242c89b915dp-40", 426),
+    (1, 0.2999999999, 0.3, "0x1.72120db8fcb07p+0", "0x1.166844c0e391ep-38", 431),
+    (1, 0.699999999999, 0.7, "0x1.30a3ac8bd6da8p+0", "0x1.55166d93d81f1p-38", 425),
+    (1, 0.70000000000001, 0.7, "0x1.30a3b69a0b820p+0", "0x1.755936e763991p-38", 420),
+    (1, 0.3, 0.6999989999999999, "0x1.04e9538ed748ap+2", "0x1.04e53a9485b2bp-37", 431),
+    (1, 0.3, 0.70000001, "0x1.1e6e5f974064ap+2", "0x0.0p+0", 850),
+    (1, 0.7, 0.3000000001, "0x1.1275d7ea13a81p+2", "0x1.d25a66f05b31cp-45", 841),
+    (1, 0.7, 0.299999999999, "0x1.1e1f48cefd20dp+2", "0x1.9f3a3f7e2aa1cp-39", 853),
+    (1, 0.25, 0.25, "0x1.5dd8d697292b3p+0", "0x1.11d0b9edb815fp-45", 111),
+    (1, 0.375, 0.625, "0x1.4bc324873789bp+2", "0x1.8c581d728c80dp-41", 121),
+    (1, 0.5, 0.5, "0x1.56b4a38de4a49p+2", "0x0.0p+0", 124),
+    (2, 0.2, 0.35, "0x1.e1153113be204p-1", "0x1.539bb584ea0d0p-41", 116),
+    (2, 0.45, 0.15, "0x1.3c280a224dbfep-1", "0x1.e3a6d4615c032p-46", 113),
+    (2, 0.55, 0.8, "0x1.59b27e0dd5b03p-1", "0x1.17a6fb54fafdap-46", 115),
+    (2, 0.85, 0.6, "0x1.0231278d32195p-1", "0x1.a39274797e3d9p-45", 112),
+    (2, 0.3000000001, 0.3, "0x1.aeec03eb41fccp+8", "0x1.90ccffbecc20ep-34", 911),
+    (2, 0.299999999999, 0.3, "0x1.f83447397fbf2p+10", "0x1.1f49ba64ac120p-25", 930),
+    (2, 0.69999999999999, 0.7, "0x1.cd283fb338205p+12", "0x0.0p+0", 1832),
+    (2, 0.700001, 0.7, "0x1.8e35ceea2c993p+4", "0x1.2e1a17a9603c3p-30", 448),
+    (2, 0.3, 0.6999999899999999, "0x1.b106f55b22215p+2", "0x0.0p+0", 930),
+    (2, 0.3, 0.7000000001, "0x1.50aeb47de4d2ep+3", "0x1.5f8e7badc9903p-40", 916),
+    (2, 0.7, 0.30000000000099997, "0x1.f192bd561479dp+3", "0x1.28aa2de2f582ep-32", 897),
+    (2, 0.7, 0.29999999999999, "0x1.a5d2a22dc2df2p+4", "0x0.0p+0", 1823),
+    (2, 0.25, 0.25, "inf", "0x0.0p+0", 0),
+    (2, 0.375, 0.625, "inf", "0x0.0p+0", 0),
+    (2, 0.5, 0.5, "inf", "0x0.0p+0", 0),
+    (3, 0.2, 0.35, "0x1.bb5a4c0e9fb6bp-8", "0x0.0p+0", 199),
+    (3, 0.45, 0.15, "0x1.f126c66ca78c0p-15", "0x0.0p+0", 199),
+    (3, 0.55, 0.8, "0x1.f1bba9b7a8285p-11", "0x1.cc4026a944e18p-63", 199),
+    (3, 0.85, 0.6, "0x1.40c7af7df06d0p-13", "0x0.0p+0", 199),
+    (3, 0.30000000000099997, 0.3, "0x1.213c418dacdc9p+29", "0x1.0def396e9f7b2p-6", 794),
+    (3, 0.29999999999999, 0.3, "0x1.680ea79db65d7p+34", "0x0.0p+0", 1589),
+    (3, 0.6999989999999999, 0.7, "0x1.2c5d8c73e7f23p+13", "0x1.1c90633725439p-23", 397),
+    (3, 0.70000001, 0.7, "0x1.75bde7b3d8ecap+18", "0x1.e8aa57de821c2p-35", 794),
+    (3, 0.3, 0.6999999999, "0x1.ae9801f056974p-14", "0x0.0p+0", 199),
+    (3, 0.3, 0.7000000000009999, "0x1.ae9801d8b21cbp-14", "0x0.0p+0", 199),
+    (3, 0.7, 0.30000000000001, "0x1.ae9801d8eea28p-14", "0x0.0p+0", 199),
+    (3, 0.7, 0.299999, "0x1.ae946f783ef57p-14", "0x0.0p+0", 199),
+    (3, 0.25, 0.25, "inf", "0x0.0p+0", 0),
+    (3, 0.375, 0.625, "0x1.2291c2cd94d33p-7", "0x0.0p+0", 189),
+    (3, 0.5, 0.5, "inf", "0x0.0p+0", 0),
+]
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("k,x,y,value,error,evaluations", PINNED)
+    def test_pdf_is_bitwise_unchanged(self, k, x, y, value, error, evaluations):
+        got = pdf(AlphaBivariate(*PINNED_SETS[k]), x, y)
+        assert got.value == float.fromhex(value)
+        assert got.error_estimate == float.fromhex(error)
+        assert got.evaluations == evaluations
+        assert got.diverged == (evaluations == 0)
 
 
 class TestClassifyRegion:
@@ -215,7 +298,7 @@ class TestPdf:
             assert pdf(GENERIC, 0.3, 0.6, tol=tol).method == "quadrature"
         assert seen == [1e-10, 1e-6]
 
-    @pytest.mark.parametrize("route", [pdf, pdf_quadrature, pdf_closed_form])
+    @pytest.mark.parametrize("route", [pdf, pdf_quadrature, pdf_closed_form, pdf_points])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("weights,x,y", [
         ((2.0, 3.0, 4.0, 5.0), 0.5, 0.5),       # center: a gamma-function value
@@ -236,6 +319,7 @@ class TestPdf:
         assert isinstance(best, DensityValue)
         assert best.value == converged.value
         assert best.error_estimate == converged.error_estimate
+        assert best.evaluations == converged.evaluations
 
     @pytest.mark.parametrize("line", sorted(HALF_LINES))
     @pytest.mark.parametrize("weights", NEAR_LINE_SETS)
@@ -306,6 +390,59 @@ class TestPdfGrid:
             pdf_grid(ONES, resolution=1)
 
 
+class TestPdfPoints:
+    @pytest.mark.parametrize("weights", [(2.0, 3.0, 4.0, 5.0), (0.5, 0.7, 0.8, 0.6),
+                                         (0.4, 0.3, 0.4, 0.5), (10.0, 0.1, 0.1, 10.0)])
+    def test_agrees_with_scalar_pdf(self, weights):
+        a = AlphaBivariate(*weights)
+        rng = np.random.default_rng(5)
+        xy = [tuple(p) for p in rng.uniform(0.01, 0.99, size=(40, 2))]
+        # near each half-line, on both lines and at the center
+        for x0, y0, dx, dy in HALF_LINES.values():
+            xy += [(x0 + 1e-9 * dx, y0 + 1e-9 * dy), (x0 - 1e-13 * dx, y0 - 1e-13 * dy)]
+        xy += [(0.25, 0.25), (0.75, 0.75), (0.375, 0.625), (0.625, 0.375), (0.5, 0.5)]
+        x, y = np.array(xy).T
+        got = pdf_points(a, x, y)
+        for i, (xi, yi) in enumerate(xy):
+            one = pdf(a, xi, yi)
+            assert math.isinf(got.value[i]) == math.isinf(one.value)
+            assert got.diverged[i] == one.diverged
+            assert got.evaluations[i] == one.evaluations
+            if not one.diverged:
+                assert rel_diff(got.value[i], one.value) <= 1e-12
+                assert got.error_estimate[i] == pytest.approx(one.error_estimate,
+                                                              rel=1e-12, abs=1e-300)
+
+    def test_shapes_and_empty_input(self):
+        out = pdf_points(GENERIC, np.array([[0.2, 0.3], [0.6, 0.5]]), 0.4)
+        assert out.value.shape == out.error_estimate.shape == (2, 2)
+        assert out.diverged.shape == out.evaluations.shape == (2, 2)
+        assert out.value[1, 1] == pdf(GENERIC, 0.5, 0.4).value
+        empty = pdf_points(GENERIC, [], [])
+        assert all(a.shape == (0,) for a in empty)
+        assert empty.diverged.dtype == bool
+
+    @pytest.mark.parametrize("x,y", [(0.0, 0.5), (0.5, 1.0), (-0.1, 0.5), (math.nan, 0.5),
+                                     (0.5, math.inf)])
+    def test_points_off_the_open_square_raise(self, x, y):
+        with pytest.raises(DomainError):
+            pdf_points(GENERIC, [0.3, x], [0.4, y])
+
+    def test_unconverged_point_raises(self, monkeypatch):
+        _stall_kernel(monkeypatch)
+        with pytest.raises(ConvergenceError):
+            pdf_points(GENERIC, [0.2, 0.3], [0.4, 0.4])
+
+    def test_scalar_pdf_does_not_use_it(self, monkeypatch):
+        import bibeta.density as density
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scalar pdf went through pdf_points")
+
+        monkeypatch.setattr(density, "pdf_points", refuse)
+        assert pdf(GENERIC, 0.3, 0.6).value > 0.0
+
+
 class TestDensityValue:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -333,3 +470,18 @@ class TestDensityValue:
         for v in (pdf(alpha, 0.3, 0.3), pdf_closed_form(alpha, 0.3, 0.3)):
             assert math.isinf(v.value) and v.diverged
         assert not pdf(alpha, 0.3, 0.4).diverged
+
+    def test_evaluations_follow_the_route(self):
+        quadrature = pdf(GENERIC, 0.3, 0.6)
+        assert quadrature.evaluations > 0
+        assert pdf_closed_form(GENERIC, 0.3, 0.6).evaluations == 0
+        alpha = AlphaBivariate(0.4, 0.3, 0.4, 0.5)
+        assert pdf(alpha, 0.3, 0.3).evaluations == 0
+        assert pdf_closed_form(alpha, 0.3, 0.3).evaluations == 0
+        assert DensityValue(1.0, "quadrature").evaluations == 0
+
+    def test_repr_shows_every_field(self):
+        v = pdf(GENERIC, 0.3, 0.6)
+        assert repr(v) == (f"DensityValue(value={v.value!r}, method='quadrature', "
+                           f"error_estimate={v.error_estimate!r}, diverged=False, "
+                           f"evaluations={v.evaluations!r})")

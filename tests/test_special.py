@@ -155,6 +155,61 @@ class TestIntegrateUnitBatch:
         with pytest.raises(DomainError):
             integrate_unit_batch(-1.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
 
+    # values and counts of the rule that evaluates each level on its own, as
+    # float.hex: levels 0-2 share one smooth call, and max_levels still cuts
+    # the sweep short (below 1 it still runs level 0); one row, then four rows
+    # with their own integrands
+    @pytest.mark.parametrize("max_levels,one,rows", [
+        *((levels, ("0x1.9d4cddd356e31p-3", 11, False),
+           (["0x1.0d635c0aafa00p+0", "0x1.20fb0a244fbdap-1", "0x1.c3345f19e0083p-6",
+             "0x1.bfb3d62cbf442p-8"], 12, [False, False, False, False]))
+          for levels in (0, 1)),
+        (2, ("0x1.5588f685526f8p-3", 23, False),
+         (["0x1.0b490becafc2dp+0", "0x1.1827534399b0bp-1", "0x1.5ae4dc100bb9ap-5",
+           "0x1.e7d59fff4223fp-9"], 25, [False, False, False, False])),
+        (3, ("0x1.55555555e5694p-3", 45, False),
+         (["0x1.0b48ecae84cb6p+0", "0x1.182809ef3510fp-1", "0x1.589e23a443028p-5",
+           "0x1.d087326632ef9p-9"], 50, [True, True, False, False])),
+    ])
+    def test_first_levels_respect_max_levels(self, max_levels, one, rows):
+        batch = integrate_unit_batch(1.0, 1.0, lambda t, one_minus_t, rows: 1.0, 1,
+                                     max_levels=max_levels)
+        value, evaluations, converged = one
+        assert batch.value[0] == float.fromhex(value)
+        assert batch.evaluations[0] == evaluations
+        assert batch.converged[0] == converged
+        with pytest.raises(ConvergenceError) as err:
+            integrate_unit(IntegrandSpec(1.0, 1.0, lambda t: np.ones_like(t)),
+                           max_levels=max_levels)
+        assert err.value.result.value == float.fromhex(value)
+        assert err.value.result.evaluations == evaluations
+
+        rates = np.array([0.0, 1.0, 8.0, 40.0])
+        batch = integrate_unit_batch(0.5, -0.3, lambda t, one_minus_t, active:
+                                     np.exp(-rates[active][:, None] * t), 4, tol=1e-3,
+                                     max_levels=max_levels)
+        values, evaluations, converged = rows
+        assert batch.value.tolist() == [float.fromhex(v) for v in values]
+        assert batch.evaluations.tolist() == [evaluations] * 4
+        assert batch.converged.tolist() == converged
+
+    def test_weights_are_cached_read_only_and_only_where_reached(self):
+        from bibeta.special import _weighted_nodes
+        _weighted_nodes.cache_clear()
+        # a constant integrand settles at level 3: the fused table for levels
+        # 0-2 and one table for level 3, nothing deeper
+        batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
+        assert batch.converged[0]
+        assert _weighted_nodes.cache_info().currsize == 2
+        fused = _weighted_nodes((0, 1, 2), 1.0, 1.0, 2 ** 14)
+        assert fused is _weighted_nodes((0, 1, 2), 1.0, 1.0, 2 ** 14)
+        assert _weighted_nodes.cache_info().currsize == 2
+        t, _, w, ends = fused
+        assert not any(a.flags.writeable for a in fused[:3])
+        assert ends[-1] == t.size == w.size == batch.evaluations[0] - _weighted_nodes(
+            (3,), 1.0, 1.0, 2 ** 14)[0].size
+        assert _weighted_nodes.cache_info().maxsize is not None
+
 
 class TestHyp2F1:
     def test_unit_at_zero_argument(self):
