@@ -234,6 +234,13 @@ def _alpha_arg(text: str) -> tuple:
     return vals
 
 
+def _bivariate_alpha_arg(text: str) -> tuple:
+    vals = _comma_floats(text)
+    if len(vals) != 4:
+        raise ValueError("alpha needs exactly 4 components")
+    return vals
+
+
 def _point_arg(text: str) -> tuple:
     vals = _comma_floats(text)
     if len(vals) != 2:
@@ -266,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help_text = "comma-separated weights a11,a10,a01,a00"
         if not bivariate_only:
             help_text += " (or 8 values for the trivariate family)"
-        p.add_argument("--alpha", type=_alpha_arg, required=True, help=help_text)
+        p.add_argument("--alpha", type=_bivariate_alpha_arg if bivariate_only else _alpha_arg,
+                       required=True, help=help_text)
 
     def add_common(p):
         p.add_argument("--output", dest="output_path", default=None,
@@ -304,11 +312,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="moment-matching fit from a CSV of x,y pairs")
     p.add_argument("--input", dest="input_path", required=True)
     p.add_argument("--restarts", type=_positive_int, default=8,
-                   help="cap on Nelder-Mead starts; a restart runs only after "
-                        "a start that failed to converge or ended on the "
-                        "total-weight bound")
+                   help="cap on Levenberg-Marquardt starts; a jittered restart "
+                        "runs only after every start so far failed to converge")
     p.add_argument("--max-iterations", type=_positive_int, default=4000)
-    p.add_argument("--objective-tolerance", type=float, default=1e-13)
+    p.add_argument("--objective-tolerance", type=float, default=1e-13,
+                   help="a start converges once a step lowers the objective "
+                        "by at most this fraction of its value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--match-third-order", action="store_true")
     add_common(p)

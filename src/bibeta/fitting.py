@@ -1,14 +1,15 @@
 """Moment matching for the shared-component bivariate beta.
 
 The estimator minimizes the squared distance between the five exact moments
-(two means, two variances, one covariance) and their targets, over strictly
-positive weights whose total stays below the feasibility bound implied by
-the marginal variances.  The search runs in log space with a Nelder-Mead
-simplex (``minimize``, a port of scipy's, so fitting needs only numpy), a
-one-sided quadratic penalty for the total-weight bound, and one start at a
-closed-form initial inversion.  Jittered restarts around that inversion run
-only while the best start has failed to converge or ends with the penalty
-active, up to ``FitOptions.restarts`` starts in all.
+(two means, two variances, one covariance) and their targets over strictly
+positive weights.  ``minimize`` is a Levenberg-Marquardt solve in the log
+weights from a closed-form initial inversion; the five residuals and their
+Jacobian are closed form.  With third-order matching, four residuals on the
+third central moments join the same solve, their Jacobian rows taken by
+central differences.  A fit whose total weight reaches the feasibility bound
+implied by the marginal variances is scaled back under it.  Jittered
+restarts around the inversion run only while every start so far has failed
+to converge, up to ``FitOptions.restarts`` starts in all.
 """
 
 from __future__ import annotations
@@ -33,28 +34,43 @@ __all__ = [
     "fit_data",
 ]
 
-# keep the optimum strictly inside the bound; the hinge starts this far in
+# a fit on or past the total-weight bound is scaled back this far inside it
 _BOUND_MARGIN = 1e-8
-_PENALTY_WEIGHT = 10.0
 _GUESS_FLOOR = 1e-6
 _LOG_CLIP = 40.0
+# largest move of one log weight in one trial step: unbounded, the linear
+# model in log weights can send a small weight to the clip in one step, where
+# its Jacobian column vanishes and it cannot grow back when it later should
+_MAX_STEP = 2.0
+# central-difference step in log weight for the third-order Jacobian rows,
+# near the cube root of the double-precision epsilon
+_FD_STEP = 1e-5
+_THIRD_ORDERS = ((3, 0), (0, 3), (2, 1), (1, 2))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class FitOptions:
+    """``objective_tolerance`` is relative: a solve settles once an accepted
+    step lowers the objective by at most this fraction of its value."""
+
     restarts: int = 8
     max_iterations: int = 4000
     objective_tolerance: float = 1e-13
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.restarts, int) and self.restarts >= 1):
+        if not (_is_int(self.restarts) and self.restarts >= 1):
             raise DomainError(f"restarts must be an integer >= 1, got {self.restarts!r}")
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
+        if not (_is_int(self.max_iterations) and self.max_iterations >= 1):
             raise DomainError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        if not (math.isfinite(self.objective_tolerance) and self.objective_tolerance > 0.0):
-            raise DomainError("objective_tolerance must be finite and > 0")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        tol = self.objective_tolerance
+        if not ((_is_int(tol) or isinstance(tol, float)) and math.isfinite(tol) and tol > 0.0):
+            raise DomainError(f"objective_tolerance must be a finite number > 0, got {tol!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
@@ -130,15 +146,12 @@ def initial_guess(m: MomentVector) -> AlphaBivariate:
     return AlphaBivariate(*vals)
 
 
-class _MaxFevReached(Exception):
-    pass
-
-
-class SimplexResult:
-    """Outcome of ``minimize``: the best vertex, its value, the iteration
-    and evaluation counts, and whether the tolerances stopped the search.
-    A plain class, not a dataclass, which would add its build time to every
-    CLI start."""
+class LeastSquaresResult:
+    """Outcome of ``minimize``: the final point, its sum of squared
+    residuals, the iteration and residual-evaluation counts, and whether a
+    stopping rule other than the iteration cap ended the solve.  A plain
+    class, not a dataclass, which would add its build time to every CLI
+    start."""
 
     __slots__ = ("x", "fun", "nit", "nfev", "success")
 
@@ -146,101 +159,79 @@ class SimplexResult:
         self.x, self.fun, self.nit, self.nfev, self.success = x, fun, nit, nfev, success
 
 
-def minimize(fun, x0, *, maxiter: int, maxfev: int, xatol: float,
-             fatol: float) -> SimplexResult:
-    """Nelder-Mead simplex search (Nelder & Mead 1965) from ``x0``.
+def minimize(residuals, x0, *, jacobian, maxiter: int, ftol: float) -> LeastSquaresResult:
+    """Levenberg-Marquardt solve (Levenberg 1944; Marquardt 1963) of
+    ``min r(x) . r(x)`` from ``x0``, with ``r = residuals(x)`` and its
+    Jacobian ``jacobian(x)``.
 
-    Stops once the simplex spans at most ``xatol`` in every coordinate and
-    ``fatol`` in value (``success``), or after ``maxiter`` iterations or
-    ``maxfev`` evaluations.
+    Each iteration solves ``(J'J + lam D) step = -J'r``, where ``D`` is the
+    diagonal of ``J'J`` floored at ``1e-12`` times its largest entry, so a
+    column that vanishes with its weight leaves the system regular.  A trial
+    that does not lower the objective multiplies ``lam`` by ten and is
+    retried; an accepted one divides it by ten.  Each step component is
+    clipped to ``+-_MAX_STEP`` and each trial point to ``+-_LOG_CLIP``.
 
-    A port of scipy's ``_minimize_neldermead`` (scipy.optimize, BSD-3-Clause,
-    Copyright (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers) for
-    the case ``_fit`` uses: standard coefficients (``adaptive=False``), no
-    bounds, no callback.  The initial simplex, the operation order and the
-    evaluation accounting are scipy's, so ``x``, ``fun``, ``nit``, ``nfev``
-    and ``success`` agree with ``scipy.optimize.minimize(method="Nelder-Mead")``
-    bit for bit.
+    The solve ends with ``success`` once an accepted step lowers the
+    objective by at most ``ftol`` relative, or once no step damped up to
+    ``lam = 1e16`` lowers it; otherwise after ``maxiter`` iterations.
     """
-    x0 = np.asarray(x0, dtype=float).flatten()
-    n = x0.size
-    nfev = 0
-
-    def f(x):
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _MaxFevReached
-        nfev += 1
-        return float(fun(np.copy(x)))
-
-    # each vertex past the first moves one coordinate by 5% (or to 0.00025)
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        y = np.array(x0, copy=True)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-
-    fsim = np.full(n + 1, np.inf)
-    try:
-        for k in range(n + 1):
-            fsim[k] = f(sim[k])
-    except _MaxFevReached:
-        pass
-    # sorted twice, as scipy does: argsort is not stable, so the second sort
-    # may reorder ties
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-
-    # reflection 1, expansion 2, contraction 1/2, shrink 1/2
-    iterations = 1
-    while nfev < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+    x = np.clip(np.asarray(x0, dtype=float), -_LOG_CLIP, _LOG_CLIP)
+    r = residuals(x)
+    fun = float(r @ r)
+    nfev = 1
+    lam = 1e-3
+    for nit in range(1, maxiter + 1):
+        jac = jacobian(x)
+        jtj = jac.T @ jac
+        grad = jac.T @ r
+        diag = np.diag(jtj)
+        diag = np.maximum(diag, 1e-12 * diag.max())
+        while True:
+            if lam > 1e16:
+                return LeastSquaresResult(x, fun, nit, nfev, True)
+            step = np.linalg.solve(jtj + np.diag(lam * diag), -grad)
+            trial = np.clip(x + np.clip(step, -_MAX_STEP, _MAX_STEP), -_LOG_CLIP, _LOG_CLIP)
+            r_trial = residuals(trial)
+            nfev += 1
+            fun_trial = float(r_trial @ r_trial)
+            if fun_trial < fun:
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = 2 * xbar - sim[-1]
-            fxr = f(xr)
-            if fxr < fsim[0]:
-                xe = 3 * xbar - 2 * sim[-1]
-                fxe = f(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    # outside contraction
-                    xc = 1.5 * xbar - 0.5 * sim[-1]
-                    fxc = f(xc)
-                    shrink = not fxc <= fxr
-                    if not shrink:
-                        sim[-1], fsim[-1] = xc, fxc
-                else:
-                    # inside contraction
-                    xcc = 0.5 * xbar + 0.5 * sim[-1]
-                    fxcc = f(xcc)
-                    shrink = not fxcc < fsim[-1]
-                    if not shrink:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                if shrink:
-                    for j in range(1, n + 1):
-                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                        fsim[j] = f(sim[j])
-            iterations += 1
-        except _MaxFevReached:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+            lam *= 10.0
+        lam *= 0.1
+        settled = fun - fun_trial <= ftol * fun
+        x, r, fun = trial, r_trial, fun_trial
+        if settled:
+            return LeastSquaresResult(x, fun, nit, nfev, True)
+    return LeastSquaresResult(x, fun, maxiter, nfev, False)
 
-    return SimplexResult(x=sim[0], fun=float(np.min(fsim)), nit=iterations, nfev=nfev,
-                         success=nfev < maxfev and iterations < maxiter)
+
+def _coordinates(alpha: np.ndarray) -> tuple:
+    """The total weight m, the two means, k = 1/(m+1) and c = a11/m."""
+    m = alpha.sum()
+    return m, (alpha[0] + alpha[1]) / m, (alpha[0] + alpha[2]) / m, 1.0 / (m + 1.0), alpha[0] / m
+
+
+def _five_residuals(alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The five moment differences, each closed form in ``_coordinates``."""
+    _, mx, my, k, c = _coordinates(alpha)
+    return np.array([mx, my, mx * (1.0 - mx) * k, my * (1.0 - my) * k,
+                     (c - mx * my) * k]) - targets
+
+
+def _five_jacobian(alpha: np.ndarray) -> np.ndarray:
+    """d(residuals)/d(log alpha) of ``_five_residuals``, 5 x 4."""
+    m, mx, my, k, c = _coordinates(alpha)
+    # rows d(mx, my, k, c)/d(a11, a10, a01, a00)
+    dq = np.array([[1.0 - mx, 1.0 - mx, -mx, -mx],
+                   [1.0 - my, -my, 1.0 - my, -my],
+                   [-k * k * m] * 4,
+                   [1.0 - c, -c, -c, -c]]) / m
+    dr = np.array([[1.0, 0.0, 0.0, 0.0],
+                   [0.0, 1.0, 0.0, 0.0],
+                   [(1.0 - 2.0 * mx) * k, 0.0, mx * (1.0 - mx), 0.0],
+                   [0.0, (1.0 - 2.0 * my) * k, my * (1.0 - my), 0.0],
+                   [-my * k, -mx * k, c - mx * my, k]])
+    return dr @ dq * alpha
 
 
 def _third_order_targets(data) -> tuple:
@@ -260,57 +251,47 @@ def _third_order_targets(data) -> tuple:
 
 def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
     bound = alpha_sum_bound(m)
-    hinge_at = bound * (1.0 - _BOUND_MARGIN)
     targets = np.asarray(m.as_tuple())
 
-    def penalized(theta):
-        alpha_arr = np.exp(np.clip(theta, -_LOG_CLIP, _LOG_CLIP))
-        alpha = AlphaBivariate(*alpha_arr)
-        mu = np.asarray(moment_vector(alpha).as_tuple())
-        val = float(np.sum((mu - targets) ** 2))
-        if third_targets is not None:
-            val += sum((central_moment(alpha, r, s) - t) ** 2
-                       for (r, s), t in zip(((3, 0), (0, 3), (2, 1), (1, 2)), third_targets))
-        excess = float(np.sum(alpha_arr)) - hinge_at
-        if excess > 0.0:
-            val += _PENALTY_WEIGHT * excess * excess
-        return val
+    if third_targets is None:
+        def residuals(theta):
+            return _five_residuals(np.exp(theta), targets)
+
+        def jacobian(theta):
+            return _five_jacobian(np.exp(theta))
+    else:
+        def third(theta):
+            alpha = AlphaBivariate(*np.exp(theta))
+            return np.array([central_moment(alpha, r, s) for r, s in _THIRD_ORDERS])
+
+        def residuals(theta):
+            return np.concatenate((_five_residuals(np.exp(theta), targets),
+                                   third(theta) - third_targets))
+
+        def jacobian(theta):
+            columns = [(third(theta + h) - third(theta - h)) / (2.0 * _FD_STEP)
+                       for h in np.eye(4) * _FD_STEP]
+            return np.vstack((_five_jacobian(np.exp(theta)), np.transpose(columns)))
 
     theta_base = np.log(initial_guess(m).as_array())
     rng = np.random.Generator(np.random.PCG64(opts.seed))
     best = None
-    used = 0
-    for r in range(opts.restarts):
-        theta0 = theta_base if r == 0 else theta_base + rng.uniform(-0.3, 0.3, size=4)
-        res = minimize(penalized, theta0, maxiter=opts.max_iterations,
-                       maxfev=8 * opts.max_iterations, xatol=1e-10,
-                       fatol=opts.objective_tolerance)
-        used = r + 1
+    for used in range(1, opts.restarts + 1):
+        theta0 = theta_base if used == 1 else theta_base + rng.uniform(-0.3, 0.3, size=4)
+        res = minimize(residuals, theta0, jacobian=jacobian, maxiter=opts.max_iterations,
+                       ftol=opts.objective_tolerance)
         if best is None or res.fun < best.fun:
             best = res
-        alpha_arr = np.exp(np.clip(best.x, -_LOG_CLIP, _LOG_CLIP))
-        total = float(np.sum(alpha_arr))
-        # another start can only help a failed start or one the hinge holds
-        if best.success and (best.fun <= opts.objective_tolerance or total < hinge_at):
+        if best.success:
             break
 
+    alpha_arr = np.exp(best.x)
+    total = float(np.sum(alpha_arr))
     if total >= bound:
         alpha_arr = alpha_arr * (bound * (1.0 - _BOUND_MARGIN) / total)
     alpha_star = AlphaBivariate(*alpha_arr)
-    value = objective(alpha_star, m)
-
-    # the optimizer must never come back worse than its own starting point
-    guess_arr = np.exp(theta_base)
-    guess_total = float(np.sum(guess_arr))
-    if guess_total >= bound:
-        guess_arr = guess_arr * (bound * (1.0 - _BOUND_MARGIN) / guess_total)
-    guess = AlphaBivariate(*guess_arr)
-    guess_value = objective(guess, m)
-    if guess_value < value:
-        alpha_star, value = guess, guess_value
-
     return FitResult(alpha_star=alpha_star,
-                     objective_value=value,
+                     objective_value=objective(alpha_star, m),
                      converged=bool(best.success),
                      restarts_used=used)
 

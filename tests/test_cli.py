@@ -244,6 +244,17 @@ class TestExitCodes:
     def test_wrong_alpha_arity(self, capsys):
         assert run_cli(capsys, "corr", "--alpha", "1,2,3")[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("pdf", "--point", "0.5,0.5"),
+        ("grid", "--resolution", "3"),
+        ("moments",),
+        ("corr",),
+    ])
+    def test_trivariate_alpha_on_a_bivariate_subcommand(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv, "--alpha", "2,3,4,5,6,7,8,9")
+        assert code == 2
+        assert "--alpha" in err
+
     def test_arnold_rejects_pdf_at(self, capsys):
         code, _, _ = run_cli(capsys, "baseline", "--family", "arnold",
                              "--shapes", "1,1,1,1,1", "--pdf-at", "0.5,0.5")
