@@ -160,50 +160,87 @@ def sample_gamma(shape: float, stream: RandomStream, size=None):
     return float(out) if size is None else out
 
 
-def sample_dirichlet(alphas, stream: RandomStream, size=None):
-    """Normalized independent gamma draws; rows sum to exactly 1.0 - eps-ish.
+def _check_count(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise DomainError(f"{name} must be >= 0, got {value!r}")
+    return int(value)
 
-    ``alphas`` is a length-k sequence of positive reals.  Returns shape (k,)
-    when ``size`` is None, else (size, k).
+
+def _row_totals(draws: np.ndarray) -> np.ndarray:
+    """``draws.sum(axis=1)``, bit for bit.  numpy adds a row of fewer than 8
+    entries in order, so ordered column adds give the same totals without
+    its slow reduction along the short axis; from 8 entries on it sums
+    pairwise, and that reduction is kept."""
+    k = draws.shape[1]
+    if k >= 8:
+        return draws.sum(axis=1)
+    totals = draws[:, 0] + draws[:, 1]
+    for j in range(2, k):
+        totals += draws[:, j]
+    return totals
+
+
+def _gamma_rows(a: np.ndarray, n: int, stream: RandomStream):
+    """(n, k) independent Gamma(a_j) draws and their row totals.
+
+    A row whose every draw underflowed to 0, possible only for extreme tiny
+    weights, is drawn again, up to 8 times.
     """
-    a = np.asarray([_check_positive("alpha component", v) for v in alphas])
-    if a.size < 2:
-        raise DomainError("sample_dirichlet needs at least two components")
-    n = 1 if size is None else int(size)
-    if n < 0:
-        raise DomainError(f"size must be >= 0, got {size!r}")
     draws = stream.generator.standard_gamma(a, size=(n, a.size))
-    totals = draws.sum(axis=1)
+    totals = _row_totals(draws)
     for _ in range(8):
         dead = totals == 0.0
         if not dead.any():
             break
-        # all-underflow row: redraw, possible only for extreme tiny alphas
-        redraw = stream.generator.standard_gamma(a, size=(int(dead.sum()), a.size))
-        draws[dead] = redraw
-        totals = draws.sum(axis=1)
-    shares = draws / totals[:, None]
-    return shares[0] if size is None else shares
+        draws[dead] = stream.generator.standard_gamma(a, size=(int(dead.sum()), a.size))
+        totals = _row_totals(draws)
+    return draws, totals
+
+
+def sample_dirichlet(alphas, stream: RandomStream, size=None):
+    """Dirichlet draws: independent gamma draws, each row divided by its
+    total, so a row sums to 1 up to rounding.
+
+    ``alphas`` is a length-k sequence of positive reals.  Returns shape (k,)
+    when ``size`` is None, else (size, k); ``size`` must be a non-negative
+    integer.
+    """
+    a = np.asarray([_check_positive("alpha component", v) for v in alphas])
+    if a.size < 2:
+        raise DomainError("sample_dirichlet needs at least two components")
+    n = 1 if size is None else _check_count("size", size)
+    draws, totals = _gamma_rows(a, n, stream)
+    draws /= totals[:, None]
+    return draws[0] if size is None else draws
+
+
+def _sum_shares(a: np.ndarray, n: int, stream: RandomStream, cells) -> np.ndarray:
+    """n Dirichlet(a) rows collapsed to one column per entry of ``cells``,
+    each the left-to-right sum of the shares it lists, clipped into (0, 1).
+
+    Only the shares some cell uses are divided by the row total, in place,
+    and the sums are written straight into the output.
+    """
+    draws, totals = _gamma_rows(a, n, stream)
+    for j in sorted({j for cell in cells for j in cell}):
+        np.divide(draws[:, j], totals, out=draws[:, j])
+    out = np.empty((n, len(cells)))
+    for col, (first, second, *rest) in enumerate(cells):
+        np.add(draws[:, first], draws[:, second], out=out[:, col])
+        for j in rest:
+            out[:, col] += draws[:, j]
+    return np.clip(out, _OPEN_LO, _OPEN_HI, out=out)
 
 
 def sample_bivariate(alpha: AlphaBivariate, n: int, stream: RandomStream) -> np.ndarray:
     """n independent (x, y) pairs as an (n, 2) array, all inside (0, 1)."""
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
-    shares = sample_dirichlet(alpha.as_array(), stream, size=n)
-    x = shares[:, 0] + shares[:, 1]
-    y = shares[:, 0] + shares[:, 2]
-    return np.clip(np.column_stack((x, y)), _OPEN_LO, _OPEN_HI)
+    n = _check_count("n", n)
+    return _sum_shares(alpha.as_array(), n, stream, ((0, 1), (0, 2)))
 
 
 def sample_trivariate(alpha: AlphaTrivariate, n: int, stream: RandomStream) -> np.ndarray:
     """n independent (x, y, z) triples as an (n, 3) array, all inside (0, 1)."""
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n!r}")
-    shares = sample_dirichlet(alpha.as_array(), stream, size=n)
-    x = shares[:, 0] + shares[:, 1] + shares[:, 2] + shares[:, 4]
-    y = shares[:, 0] + shares[:, 1] + shares[:, 3] + shares[:, 5]
-    z = shares[:, 0] + shares[:, 2] + shares[:, 3] + shares[:, 6]
-    return np.clip(np.column_stack((x, y, z)), _OPEN_LO, _OPEN_HI)
+    n = _check_count("n", n)
+    return _sum_shares(alpha.as_array(), n, stream, ((0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6)))

@@ -46,6 +46,9 @@ _MAX_STEP = 2.0
 # near the cube root of the double-precision epsilon
 _FD_STEP = 1e-5
 _THIRD_ORDERS = ((3, 0), (0, 3), (2, 1), (1, 2))
+# longest run of the data's centred products formed at once: two such
+# buffers stay in a core's cache
+_SUM_LEAF = 1 << 14
 
 
 def _is_int(value) -> bool:
@@ -76,36 +79,94 @@ class FitOptions:
 
 @dataclass(frozen=True)
 class FitResult:
+    """``nit`` and ``nfev`` are the solver's iterations and residual
+    evaluations summed over every start; ``bound_rescaled`` says whether the
+    solution reached the total-weight bound and was scaled back under it."""
+
     alpha_star: AlphaBivariate
     objective_value: float
     converged: bool
     restarts_used: int
+    nit: int = 0
+    nfev: int = 0
+    bound_rescaled: bool = False
+
+
+def _product_sums(dx: np.ndarray, dy: np.ndarray, start: int, stop: int,
+                  buf: np.ndarray, third: bool) -> np.ndarray:
+    """Sums over [start, stop) of the products of the centred columns, in
+    the order x*x, x*x*x, x*x*y, y*y, y*y*y, x*y, x*y*y; the three-factor
+    products only with ``third``.
+
+    numpy sums a contiguous column pairwise, halving it (rounded down to a
+    multiple of 8) until a piece is short.  Splitting the same way down to
+    ``_SUM_LEAF`` entries, with each leaf's products formed in the two
+    cache-sized rows of ``buf``, gives the sums of whole product columns bit
+    for bit without writing any.  Products, not ``**``, which calls pow per
+    element.
+    """
+    n = stop - start
+    if n > _SUM_LEAF:
+        half = n // 2
+        half -= half % 8
+        return (_product_sums(dx, dy, start, start + half, buf, third)
+                + _product_sums(dx, dy, start + half, stop, buf, third))
+    x, y, pair, prod = dx[start:stop], dy[start:stop], buf[0, :n], buf[1, :n]
+    sums = []
+    for u, v, factors in ((x, x, (x, y)), (y, y, (y,)), (x, y, (y,))):
+        np.multiply(u, v, out=pair)
+        sums.append(pair.sum())
+        if third:
+            sums.extend(np.multiply(pair, w, out=prod).sum() for w in factors)
+    return np.array(sums)
+
+
+def _data_moments(data, third: bool) -> tuple:
+    """The sample ``MomentVector`` of (n, 2) data and, with ``third``, the
+    third central moments (m30, m03, m21, m12), else None.
+
+    One centred pass: the validated columns are copied out contiguous once,
+    each mean is numpy's pairwise sum over its column, and every central
+    moment is a pairwise mean of products of the columns centred on those
+    means.
+    """
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DomainError(f"data must be an (n, 2) array of pairs, got shape {arr.shape}")
+    n = arr.shape[0]
+    if n < 3:
+        raise DegenerateDataError(f"need at least 3 points, got {n}")
+    dx, dy = arr[:, 0].copy(), arr[:, 1].copy()
+    lo_x, hi_x, lo_y, hi_y = dx.min(), dx.max(), dy.min(), dy.max()
+    # NaN fails every comparison, so it lands here with the out-of-range points
+    if not (lo_x > 0.0 and lo_y > 0.0 and hi_x < 1.0 and hi_y < 1.0):
+        raise DomainError("data points must lie strictly inside the unit square")
+    if lo_x == hi_x or lo_y == hi_y:
+        raise DegenerateDataError("constant coordinate: sample variance is zero")
+    mean_x, mean_y = dx.mean(), dy.mean()
+    dx -= mean_x
+    dy -= mean_y
+    sums = _product_sums(dx, dy, 0, n, np.empty((2, min(n, _SUM_LEAF))), third) / n
+    if third:
+        m20, m30, m21, m02, m03, m11, m12 = (float(v) for v in sums)
+    else:
+        m20, m02, m11 = (float(v) for v in sums)
+    if m20 == 0.0 or m02 == 0.0:
+        raise DegenerateDataError("zero sample variance in at least one coordinate")
+    m = MomentVector(m10=float(mean_x), m01=float(mean_y), m20=m20, m02=m02, m11=m11)
+    return m, ((m30, m03, m21, m12) if third else None)
 
 
 def sample_central_moments(data) -> MomentVector:
     """Sample means, variances and covariance, all with divisor N.
 
     Needs at least three points strictly inside the unit square, and
-    nonzero variation in both coordinates.
+    nonzero variation in both coordinates.  Each mean is a pairwise sum
+    over its column, and the variances and the covariance are pairwise
+    means of products of the columns centred on those means.
+    ``fit_data``'s third-order targets share that one centring.
     """
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise DomainError(f"data must be an (n, 2) array of pairs, got shape {arr.shape}")
-    if arr.shape[0] < 3:
-        raise DegenerateDataError(f"need at least 3 points, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise DomainError("data points must lie strictly inside the unit square")
-    if np.ptp(arr[:, 0]) == 0.0 or np.ptp(arr[:, 1]) == 0.0:
-        raise DegenerateDataError("constant coordinate: sample variance is zero")
-    mean = arr.mean(axis=0)
-    dx = arr[:, 0] - mean[0]
-    dy = arr[:, 1] - mean[1]
-    m20 = float(np.mean(dx * dx))
-    m02 = float(np.mean(dy * dy))
-    if m20 == 0.0 or m02 == 0.0:
-        raise DegenerateDataError("zero sample variance in at least one coordinate")
-    return MomentVector(m10=float(mean[0]), m01=float(mean[1]),
-                        m20=m20, m02=m02, m11=float(np.mean(dx * dy)))
+    return _data_moments(data, third=False)[0]
 
 
 def alpha_sum_bound(m: MomentVector) -> float:
@@ -235,18 +296,7 @@ def _five_jacobian(alpha: np.ndarray) -> np.ndarray:
 
 
 def _third_order_targets(data) -> tuple:
-    arr = np.asarray(data, dtype=float)
-    dx = arr[:, 0] - arr[:, 0].mean()
-    dy = arr[:, 1] - arr[:, 1].mean()
-    # products, not ``** 3`` (a pow call per element); one product buffer
-    # is reused, so at most two temporaries live beside dx and dy
-    prod = dx * dx
-    m30, m21 = np.mean(prod * dx), np.mean(prod * dy)
-    np.multiply(dx, dy, out=prod)
-    m12 = np.mean(prod * dy)
-    np.multiply(dy, dy, out=prod)
-    m03 = np.mean(prod * dy)
-    return float(m30), float(m03), float(m21), float(m12)
+    return _data_moments(data, third=True)[1]
 
 
 def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
@@ -276,10 +326,13 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
     theta_base = np.log(initial_guess(m).as_array())
     rng = np.random.Generator(np.random.PCG64(opts.seed))
     best = None
+    nit = nfev = 0
     for used in range(1, opts.restarts + 1):
         theta0 = theta_base if used == 1 else theta_base + rng.uniform(-0.3, 0.3, size=4)
         res = minimize(residuals, theta0, jacobian=jacobian, maxiter=opts.max_iterations,
                        ftol=opts.objective_tolerance)
+        nit += res.nit
+        nfev += res.nfev
         if best is None or res.fun < best.fun:
             best = res
         if best.success:
@@ -287,13 +340,14 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
 
     alpha_arr = np.exp(best.x)
     total = float(np.sum(alpha_arr))
-    if total >= bound:
+    rescaled = total >= bound
+    if rescaled:
         alpha_arr = alpha_arr * (bound * (1.0 - _BOUND_MARGIN) / total)
     alpha_star = AlphaBivariate(*alpha_arr)
     return FitResult(alpha_star=alpha_star,
                      objective_value=objective(alpha_star, m),
                      converged=bool(best.success),
-                     restarts_used=used)
+                     restarts_used=used, nit=nit, nfev=nfev, bound_rescaled=rescaled)
 
 
 def fit_moments(m: MomentVector, options: FitOptions | None = None) -> FitResult:
@@ -309,6 +363,5 @@ def fit_data(data, options: FitOptions | None = None, *,
     third-order central moments; the reported objective value stays the
     plain five-component distance either way.
     """
-    m = sample_central_moments(data)
-    third = _third_order_targets(data) if match_third_order else None
+    m, third = _data_moments(data, match_third_order)
     return _fit(m, options or FitOptions(), third_targets=third)

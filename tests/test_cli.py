@@ -152,6 +152,8 @@ class TestFitCommand:
         code, out, _ = run_cli(capsys, "fit", "--input", str(data_path))
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["a11", "a10", "a01", "a00", "objective_value",
+                                 "converged", "restarts_used"]
         assert payload["converged"] is True
         got = np.array([payload[k] for k in ("a11", "a10", "a01", "a00")])
         assert np.max(np.abs(got - np.array([4.7, 3.5, 2.1, 3.7]))) < 0.2

@@ -159,3 +159,96 @@ class TestSampleTrivariate:
         for (i, j), margin in pairs:
             emp = np.corrcoef(s[:, i], s[:, j])[0, 1]
             assert abs(emp - correlation(margin)) < 0.005
+
+
+def _reference_shares(weights, n, seed):
+    """Dirichlet shares by the plain formula: gamma rows divided by their
+    ``sum(axis=1)``, all-underflow rows drawn again."""
+    a = np.asarray(weights, dtype=float)
+    gen = np.random.Generator(np.random.PCG64(seed))
+    draws = gen.standard_gamma(a, size=(n, a.size))
+    totals = draws.sum(axis=1)
+    for _ in range(8):
+        dead = totals == 0.0
+        if not dead.any():
+            break
+        draws[dead] = gen.standard_gamma(a, size=(int(dead.sum()), a.size))
+        totals = draws.sum(axis=1)
+    return draws / totals[:, None]
+
+
+def _reference_margins(weights, n, seed, cells):
+    """Each margin the left-to-right sum of its cells' shares, then clipped."""
+    s = _reference_shares(weights, n, seed)
+    cols = []
+    for first, *rest in cells:
+        col = s[:, first]
+        for j in rest:
+            col = col + s[:, j]
+        cols.append(col)
+    lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    return np.clip(np.column_stack(cols), lo, hi)
+
+
+_BIT_WEIGHTS = [(2.0, 3.0, 4.0, 5.0), (0.5, 0.7, 0.8, 0.6), (10.0, 0.1, 0.1, 10.0),
+                (1e-3, 1e-3, 1e-3, 1e-3)]
+
+
+class TestSamplersMatchTheReferenceFormula:
+    """Every sampler reproduces the plain formula bit for bit on the same
+    PCG64 stream, so seeded streams do not move with the implementation."""
+
+    def test_tiny_weights_exercise_the_redraw(self):
+        draws = np.random.Generator(np.random.PCG64(5)).standard_gamma(
+            np.full(4, 1e-3), size=(10 ** 5, 4))
+        assert np.any(draws.sum(axis=1) == 0.0)
+
+    @pytest.mark.parametrize("weights", _BIT_WEIGHTS)
+    @pytest.mark.parametrize("n", [0, 1, 10 ** 5])
+    @pytest.mark.parametrize("seed", [5, 103])
+    def test_bivariate(self, weights, n, seed):
+        got = sample_bivariate(AlphaBivariate(*weights), n, RandomStream(seed))
+        want = _reference_margins(weights, n, seed, ((0, 1), (0, 2)))
+        assert got.shape == (n, 2) and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("weights", _BIT_WEIGHTS)
+    @pytest.mark.parametrize("n", [0, 1, 10 ** 5])
+    def test_trivariate(self, weights, n):
+        eight = weights + weights[::-1]
+        got = sample_trivariate(AlphaTrivariate(*eight), n, RandomStream(6))
+        want = _reference_margins(eight, n, 6, ((0, 1, 2, 4), (0, 1, 3, 5), (0, 2, 3, 6)))
+        assert got.shape == (n, 3)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("weights", _BIT_WEIGHTS)
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
+    @pytest.mark.parametrize("n", [0, 1, 10 ** 5])
+    def test_dirichlet(self, weights, k, n):
+        w = (weights * 2)[:k]
+        got = sample_dirichlet(w, RandomStream(7), size=n)
+        assert np.array_equal(got, _reference_shares(w, n, 7))
+
+    def test_dirichlet_single_draw(self):
+        got = sample_dirichlet((1e-3, 1e-3, 1e-3, 1e-3), RandomStream(8))
+        assert np.array_equal(got, _reference_shares((1e-3,) * 4, 1, 8)[0])
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("bad", [2.7, 1.9, 3.0, np.float64(2.0), True, False,
+                                     np.bool_(True), "3", None, -1, np.int64(-2)])
+    def test_non_integer_or_negative_counts_raise(self, bad):
+        a2, a3 = AlphaBivariate(1, 1, 1, 1), AlphaTrivariate(*[1.0] * 8)
+        with pytest.raises(DomainError):
+            sample_bivariate(a2, bad, RandomStream(0))
+        with pytest.raises(DomainError):
+            sample_trivariate(a3, bad, RandomStream(0))
+        if bad is not None:
+            with pytest.raises(DomainError):
+                sample_dirichlet((1.0, 2.0), RandomStream(0), size=bad)
+
+    @pytest.mark.parametrize("count", [0, 3, np.int64(3), np.int32(0), np.uint8(2)])
+    def test_integer_counts_are_accepted(self, count):
+        assert sample_bivariate(AlphaBivariate(1, 1, 1, 1), count, RandomStream(0)).shape == (count, 2)
+        assert sample_trivariate(AlphaTrivariate(*[1.0] * 8), count, RandomStream(0)).shape == (count, 3)
+        assert sample_dirichlet((1.0, 2.0), RandomStream(0), size=count).shape == (count, 2)

@@ -59,6 +59,72 @@ class TestSampleCentralMoments:
             sample_central_moments(np.array([0.2, 0.4, 0.6]))
 
 
+_VALID = np.array([[0.2, 0.4], [0.4, 0.2], [0.6, 0.6], [0.7, 0.3]])
+_OUTSIDE = "data points must lie strictly inside the unit square"
+_LAYOUTS = ["c", "list", "fortran", "strided"]
+
+
+def _with(col, value):
+    data = _VALID.copy()
+    data[1, col] = value
+    return data
+
+
+def _in_layout(data, layout):
+    """The same values as a list, a Fortran-ordered array or a strided view."""
+    if layout == "list":
+        return data.tolist()
+    if layout == "fortran":
+        return np.asfortranarray(data)
+    if layout == "strided":
+        wide = np.zeros(tuple(2 * k + 1 for k in data.shape))
+        view = wide[(slice(1, None, 2),) * data.ndim]
+        view[...] = data
+        return view
+    return data
+
+
+class TestDataValidation:
+    """The errors of ``sample_central_moments`` and ``fit_data``: type and
+    message for each kind of bad data, in every input layout."""
+
+    @pytest.mark.parametrize("data, error, message", [
+        *[(_with(col, v), DomainError, _OUTSIDE)
+          for col in (0, 1) for v in (np.nan, np.inf, -np.inf, 0.0, 1.0)],
+        (np.column_stack((np.full(4, 0.3), _VALID[:, 1])), DegenerateDataError,
+         "constant coordinate: sample variance is zero"),
+        (np.column_stack((_VALID[:, 0], np.full(4, 0.3))), DegenerateDataError,
+         "constant coordinate: sample variance is zero"),
+        # NaN outranks a constant column
+        (np.column_stack(([0.3, np.nan, 0.3], [0.3, 0.3, 0.3])), DomainError, _OUTSIDE),
+        # distinct subnormal values whose centred squares underflow to 0
+        (np.column_stack(([5e-324, 5e-324, 1e-323], [0.2, 0.4, 0.6])), DegenerateDataError,
+         "zero sample variance in at least one coordinate"),
+        (np.column_stack(([0.2, 0.4, 0.6], [1e-323, 5e-324, 5e-324])), DegenerateDataError,
+         "zero sample variance in at least one coordinate"),
+        (_VALID[:2], DegenerateDataError, "need at least 3 points, got 2"),
+        (_VALID[:, 0], DomainError, "data must be an (n, 2) array of pairs, got shape (4,)"),
+        (_VALID.T, DomainError, "data must be an (n, 2) array of pairs, got shape (2, 4)"),
+    ])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("entry", [sample_central_moments, fit_data])
+    def test_bad_data_raises(self, entry, layout, data, error, message):
+        with pytest.raises(error) as info:
+            entry(_in_layout(data, layout))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_layouts_give_the_same_results(self, layout):
+        data = sample_bivariate(REFERENCE_ALPHA, 1000, RandomStream(5))
+        given = _in_layout(data, layout)
+        before = np.array(given, copy=True)
+        assert sample_central_moments(given) == sample_central_moments(data)
+        assert fitting._third_order_targets(given) == fitting._third_order_targets(data)
+        assert fit_data(given) == fit_data(data)
+        assert np.array_equal(np.asarray(given), before)
+
+
 class TestAlphaSumBound:
     def test_reference_target(self):
         assert alpha_sum_bound(M_EXACT) == pytest.approx(13.9787, abs=1e-4)
@@ -183,6 +249,19 @@ class TestFitData:
         got = fitting._third_order_targets(draws)
         assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("n", [3, 8, 129, fitting._SUM_LEAF, fitting._SUM_LEAF + 1,
+                                   3 * fitting._SUM_LEAF + 5, 10 ** 5 + 3])
+    def test_moments_are_whole_column_pairwise_means(self, n):
+        draws = sample_bivariate(REFERENCE_ALPHA, n, RandomStream(305))
+        x, y = draws[:, 0].copy(), draws[:, 1].copy()
+        dx, dy = x - x.mean(), y - y.mean()
+        m = sample_central_moments(draws)
+        assert m.as_tuple() == (x.mean(), y.mean(), np.mean(dx * dx), np.mean(dy * dy),
+                                np.mean(dx * dy))
+        assert fitting._third_order_targets(draws) == (
+            np.mean(dx * dx * dx), np.mean(dy * dy * dy),
+            np.mean(dx * dx * dy), np.mean(dx * dy * dy))
+
     def test_uniform_data_gives_near_zero_correlation(self):
         draws = sample_bivariate(AlphaBivariate(1, 1, 1, 1), 10 ** 5, RandomStream(302))
         res = fit_data(draws)
@@ -198,6 +277,40 @@ class TestFitData:
     def test_degenerate_data_raises(self):
         with pytest.raises(DegenerateDataError):
             fit_data(np.full((100, 2), 0.4))
+
+
+class TestFitReport:
+    def test_solver_counts_are_summed_over_starts(self, monkeypatch):
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(fitting_minimize(*args, **kwargs))
+            return runs[-1]
+
+        fitting_minimize = fitting.minimize
+        monkeypatch.setattr(fitting, "minimize", recorded)
+        res = fit_moments(M_EXACT, FitOptions(max_iterations=1, restarts=3))
+        assert len(runs) == res.restarts_used == 3
+        assert res.nit == sum(r.nit for r in runs) == 3
+        assert res.nfev == sum(r.nfev for r in runs)
+        runs.clear()
+        res = fit_data(sample_bivariate(REFERENCE_ALPHA, 1000, RandomStream(6)),
+                       match_third_order=True)
+        assert len(runs) == 1
+        assert (res.nit, res.nfev) == (runs[0].nit, runs[0].nfev)
+        assert 1 <= res.nit < res.nfev
+
+    def test_bound_rescale_is_reported(self):
+        exact = moment_vector(REFERENCE_ALPHA)
+        res = fit_moments(exact)
+        assert res.bound_rescaled
+        assert res.alpha_star.total == pytest.approx(alpha_sum_bound(exact) * (1.0 - 1e-8),
+                                                     rel=1e-14)
+        assert not fit_moments(M_EXACT).bound_rescaled
+
+    def test_new_fields_default(self):
+        res = FitResult(REFERENCE_ALPHA, 0.0, True, 1)
+        assert (res.nit, res.nfev, res.bound_rescaled) == (0, 0, False)
 
 
 class TestFitOptions:
