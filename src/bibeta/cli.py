@@ -1,7 +1,7 @@
 """Command-line frontend.
 
-Every subcommand is a pure function of its arguments: the same spec and
-seed produce byte-identical output.  CSV values carry 17 significant
+Every subcommand is a pure function of its arguments: the same arguments
+and seed produce byte-identical output.  CSV values carry 17 significant
 digits; densities that diverge print as "inf".  Exit codes: 0 ok,
 2 usage, 3 domain, 4 infeasible or degenerate input, 5 non-convergence.
 """
@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +26,7 @@ from .errors import (ConvergenceError, DegenerateDataError, DomainError,
 from .fitting import FitOptions, fit_data
 from .moments import correlation, correlation_table, moment_vector
 
-__all__ = ["CommandSpec", "run", "main"]
-
-
-@dataclass(frozen=True)
-class CommandSpec:
-    subcommand: str
-    alpha: AlphaBivariate | AlphaTrivariate | None = None
-    n: int = 0
-    seed: int = 0
-    tol: float = 1e-10
-    resolution: int = 100
-    input_path: str | None = None
-    output_path: str | None = None
-    family: str | None = None
-    shapes: tuple | None = None
-    rates: tuple | None = None
-    point: tuple | None = None
-    fit_options: FitOptions | None = None
-    match_third_order: bool = False
+__all__ = ["main"]
 
 
 # rows per format call: bounds the boxed floats alive at once
@@ -75,46 +56,46 @@ def _csv_text(header, rows) -> str:
     return "".join(parts)
 
 
-def _run_sample(spec: CommandSpec) -> int:
-    stream = RandomStream(spec.seed)
-    if isinstance(spec.alpha, AlphaTrivariate):
-        draws = sample_trivariate(spec.alpha, spec.n, stream)
+def _run_sample(args: argparse.Namespace) -> int:
+    stream = RandomStream(args.seed)
+    if isinstance(args.alpha, AlphaTrivariate):
+        draws = sample_trivariate(args.alpha, args.n, stream)
         header = ("x", "y", "z")
     else:
-        draws = sample_bivariate(spec.alpha, spec.n, stream)
+        draws = sample_bivariate(args.alpha, args.n, stream)
         header = ("x", "y")
-    _emit(_csv_text(header, draws), spec.output_path)
+    _emit(_csv_text(header, draws), args.output_path)
     return 0
 
 
-def _run_pdf(spec: CommandSpec) -> int:
-    value = pdf(spec.alpha, spec.point[0], spec.point[1], tol=spec.tol)
-    _emit(_fmt(value.value) + "\n", spec.output_path)
+def _run_pdf(args: argparse.Namespace) -> int:
+    value = pdf(args.alpha, args.point[0], args.point[1], tol=args.tol)
+    _emit(_fmt(value.value) + "\n", args.output_path)
     return 0
 
 
-def _run_grid(spec: CommandSpec) -> int:
-    grid = pdf_grid(spec.alpha, resolution=spec.resolution, tol=spec.tol)
-    _emit(_csv_text(("x", "y", "density"), grid), spec.output_path)
+def _run_grid(args: argparse.Namespace) -> int:
+    grid = pdf_grid(args.alpha, resolution=args.resolution, tol=args.tol)
+    _emit(_csv_text(("x", "y", "density"), grid), args.output_path)
     return 0
 
 
-def _run_moments(spec: CommandSpec) -> int:
-    m = moment_vector(spec.alpha)
+def _run_moments(args: argparse.Namespace) -> int:
+    m = moment_vector(args.alpha)
     payload = {"m10": m.m10, "m01": m.m01, "m20": m.m20, "m02": m.m02, "m11": m.m11}
-    _emit(json.dumps(payload, indent=2) + "\n", spec.output_path)
+    _emit(json.dumps(payload, indent=2) + "\n", args.output_path)
     return 0
 
 
-def _run_corr(spec: CommandSpec) -> int:
-    _emit(_fmt(correlation(spec.alpha)) + "\n", spec.output_path)
+def _run_corr(args: argparse.Namespace) -> int:
+    _emit(_fmt(correlation(args.alpha)) + "\n", args.output_path)
     return 0
 
 
-def _run_table(spec: CommandSpec) -> int:
+def _run_table(args: argparse.Namespace) -> int:
     header = ("a11", "a10", "a01", "corr_a00_10", "corr_a00_5", "corr_a00_2",
               "corr_a00_1", "corr_a00_0.5", "corr_a00_0.1")
-    _emit(_csv_text(header, correlation_table()), spec.output_path)
+    _emit(_csv_text(header, correlation_table()), args.output_path)
     return 0
 
 
@@ -159,10 +140,12 @@ def _raise_bad_row(rows, ix: int, iy: int) -> None:
             raise DomainError(f"bad row {lineno} in input CSV: {row!r}") from exc
 
 
-def _run_fit(spec: CommandSpec) -> int:
-    data = _read_pairs(spec.input_path)
-    result = fit_data(data, spec.fit_options,
-                      match_third_order=spec.match_third_order)
+def _run_fit(args: argparse.Namespace) -> int:
+    # built before the file is read, so a bad option is reported first
+    options = FitOptions(restarts=args.restarts, max_iterations=args.max_iterations,
+                         objective_tolerance=args.objective_tolerance, seed=args.seed)
+    data = _read_pairs(args.input_path)
+    result = fit_data(data, options, match_third_order=args.match_third_order)
     a = result.alpha_star
     payload = {
         "a11": a.a11, "a10": a.a10, "a01": a.a01, "a00": a.a00,
@@ -170,54 +153,26 @@ def _run_fit(spec: CommandSpec) -> int:
         "converged": result.converged,
         "restarts_used": result.restarts_used,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", spec.output_path)
+    _emit(json.dumps(payload, indent=2) + "\n", args.output_path)
     return 0 if result.converged else 5
 
 
-def _run_baseline(spec: CommandSpec) -> int:
-    if spec.family == "arnold":
-        params = ArnoldParams(*spec.shapes)
-        draws = sample_arnold(params, spec.n, RandomStream(spec.seed))
-        _emit(_csv_text(("x", "y"), draws), spec.output_path)
+def _run_baseline(args: argparse.Namespace) -> int:
+    if args.family == "three-param" and args.point is not None:
+        value = pdf_three_param(*args.shapes, *args.point)
+        _emit(_fmt(value) + "\n", args.output_path)
         return 0
-    if spec.family == "three-param":
-        a0, a1, a2 = spec.shapes
-        if spec.point is not None:
-            value = pdf_three_param(a0, a1, a2, spec.point[0], spec.point[1])
-            _emit(_fmt(value) + "\n", spec.output_path)
+    if args.family == "arnold":
+        draws = sample_arnold(ArnoldParams(*args.shapes), args.n, RandomStream(args.seed))
+    else:
+        # three-param samples as libby-novick at unit rates
+        params = LibbyNovickParams(*args.shapes, *(args.rates or ()))
+        if args.point is not None:
+            _emit(_fmt(pdf_libby_novick(params, *args.point)) + "\n", args.output_path)
             return 0
-        params = LibbyNovickParams(a0, a1, a2)
-        draws = sample_libby_novick(params, spec.n, RandomStream(spec.seed))
-        _emit(_csv_text(("x", "y"), draws), spec.output_path)
-        return 0
-    rates = spec.rates if spec.rates is not None else (1.0, 1.0, 1.0)
-    params = LibbyNovickParams(*spec.shapes, *rates)
-    if spec.point is not None:
-        value = pdf_libby_novick(params, spec.point[0], spec.point[1])
-        _emit(_fmt(value) + "\n", spec.output_path)
-        return 0
-    draws = sample_libby_novick(params, spec.n, RandomStream(spec.seed))
-    _emit(_csv_text(("x", "y"), draws), spec.output_path)
+        draws = sample_libby_novick(params, args.n, RandomStream(args.seed))
+    _emit(_csv_text(("x", "y"), draws), args.output_path)
     return 0
-
-
-_RUNNERS = {
-    "sample": _run_sample,
-    "pdf": _run_pdf,
-    "grid": _run_grid,
-    "moments": _run_moments,
-    "corr": _run_corr,
-    "table": _run_table,
-    "fit": _run_fit,
-    "baseline": _run_baseline,
-}
-
-
-def run(spec: CommandSpec) -> int:
-    """Execute a validated spec; returns the process exit status."""
-    if spec.subcommand not in _RUNNERS:
-        raise DomainError(f"unknown subcommand {spec.subcommand!r}")
-    return _RUNNERS[spec.subcommand](spec)
 
 
 def _comma_floats(text: str) -> tuple:
@@ -262,6 +217,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+class _DrawFlag(argparse.Action):
+    """Stores a sampling flag and notes that it was given: ``--pdf-at``
+    draws nothing, so it refuses ``--n`` and ``--seed``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.draw_flags += (self.option_strings[0],)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bibeta",
@@ -276,38 +240,46 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=_bivariate_alpha_arg if bivariate_only else _alpha_arg,
                        required=True, help=help_text)
 
-    def add_common(p):
+    def add_draws(p):
+        p.add_argument("--n", type=_nonneg_int, default=1000, action=_DrawFlag)
+        p.add_argument("--seed", type=int, default=0, action=_DrawFlag)
+        p.set_defaults(draw_flags=())
+
+    def add_tol(p):
+        p.add_argument("--tol", type=float, default=1e-10)
+
+    def add_common(p, run):
         p.add_argument("--output", dest="output_path", default=None,
                        help="write to this file instead of stdout")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("sample", help="draw pairs (or triples) and emit CSV")
     add_alpha(p)
-    p.add_argument("--n", type=_nonneg_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    add_common(p)
+    add_draws(p)
+    add_common(p, _run_sample)
 
     p = sub.add_parser("pdf", help="density at a single point")
     add_alpha(p, bivariate_only=True)
     p.add_argument("--point", type=_point_arg, required=True, help="x,y")
-    p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p)
+    add_tol(p)
+    add_common(p, _run_pdf)
 
     p = sub.add_parser("grid", help="density on a regular grid, as CSV")
     add_alpha(p, bivariate_only=True)
     p.add_argument("--resolution", type=_nonneg_int, default=100)
-    p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p)
+    add_tol(p)
+    add_common(p, _run_grid)
 
     p = sub.add_parser("moments", help="exact moment vector as JSON")
     add_alpha(p, bivariate_only=True)
-    add_common(p)
+    add_common(p, _run_moments)
 
     p = sub.add_parser("corr", help="exact correlation coefficient")
     add_alpha(p, bivariate_only=True)
-    add_common(p)
+    add_common(p, _run_corr)
 
     p = sub.add_parser("table", help="correlation table over the standard grid")
-    add_common(p)
+    add_common(p, _run_table)
 
     p = sub.add_parser("fit", help="moment-matching fit from a CSV of x,y pairs")
     p.add_argument("--input", dest="input_path", required=True)
@@ -320,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "by at most this fraction of its value")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--match-third-order", action="store_true")
-    add_common(p)
+    add_common(p, _run_fit)
 
     p = sub.add_parser("baseline", help="comparison families: sample or density")
     p.add_argument("--family", required=True,
@@ -329,77 +301,54 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="3 shape parameters (5 for arnold)")
     p.add_argument("--rates", type=_comma_floats, default=None,
                    help="3 rate parameters (libby-novick only)")
-    p.add_argument("--n", type=_nonneg_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    add_draws(p)
     p.add_argument("--pdf-at", dest="point", type=_point_arg, default=None,
                    help="evaluate the density at x,y instead of sampling")
-    add_common(p)
+    add_common(p, _run_baseline)
 
     return parser
 
 
-def _spec_from_args(parser, args) -> CommandSpec:
-    kwargs = {"subcommand": args.subcommand,
-              "output_path": getattr(args, "output_path", None)}
-
-    alpha_vals = getattr(args, "alpha", None)
-    if alpha_vals is not None:
-        kwargs["alpha"] = (AlphaBivariate(*alpha_vals) if len(alpha_vals) == 4
-                           else AlphaTrivariate(*alpha_vals))
-
-    if args.subcommand == "sample":
-        kwargs.update(n=args.n, seed=args.seed)
-    elif args.subcommand == "pdf":
-        kwargs.update(point=args.point, tol=args.tol)
-    elif args.subcommand == "grid":
-        if args.resolution < 2:
-            parser.error("--resolution must be >= 2")
-        kwargs.update(resolution=args.resolution, tol=args.tol)
-    elif args.subcommand == "fit":
-        kwargs.update(input_path=args.input_path,
-                      match_third_order=args.match_third_order,
-                      fit_options=FitOptions(restarts=args.restarts,
-                                             max_iterations=args.max_iterations,
-                                             objective_tolerance=args.objective_tolerance,
-                                             seed=args.seed))
-    elif args.subcommand == "baseline":
-        family = args.family
-        want = 5 if family == "arnold" else 3
-        if len(args.shapes) != want:
-            parser.error(f"--shapes for {family} needs {want} values")
-        if args.rates is not None:
-            if family != "libby-novick":
-                parser.error("--rates applies only to the libby-novick family")
-            if len(args.rates) != 3:
-                parser.error("--rates needs 3 values")
-        if args.point is not None and family == "arnold":
+def _check_usage(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Usage errors found after parsing: the rules that span flags, and
+    ``--resolution`` below 2."""
+    if args.subcommand == "grid" and args.resolution < 2:
+        parser.error("--resolution must be >= 2")
+    if args.subcommand != "baseline":
+        return
+    family = args.family
+    want = 5 if family == "arnold" else 3
+    if len(args.shapes) != want:
+        parser.error(f"--shapes for {family} needs {want} values")
+    if args.rates is not None:
+        if family != "libby-novick":
+            parser.error("--rates applies only to the libby-novick family")
+        if len(args.rates) != 3:
+            parser.error("--rates needs 3 values")
+    if args.point is not None:
+        if family == "arnold":
             parser.error("the arnold family has no closed-form density; "
                          "--pdf-at is not supported")
-        kwargs.update(family=family, shapes=args.shapes, rates=args.rates,
-                      n=args.n, seed=args.seed, point=args.point)
-
-    return CommandSpec(**kwargs)
+        if args.draw_flags:
+            parser.error(f"{args.draw_flags[0]} does not combine with --pdf-at")
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        spec = _spec_from_args(parser, args)
+        if "alpha" in args:
+            # built here, not in the flag's ``type``: argparse would turn the
+            # DomainError, a ValueError, into a usage error
+            args.alpha = (AlphaBivariate(*args.alpha) if len(args.alpha) == 4
+                          else AlphaTrivariate(*args.alpha))
+        _check_usage(parser, args)
+        return args.run(args)
     except SystemExit as exc:
         code = exc.code
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
-    except (InfeasibleMomentsError, DegenerateDataError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-
-    try:
-        return run(spec)
     except (InfeasibleMomentsError, DegenerateDataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -7,13 +7,14 @@ of the common share u:
               u**(a11-1) * (x-u)**(a10-1) * (y-u)**(a01-1)
               * (1-x-y+u)**(a00-1) du.
 
-``pdf`` is ``pdf_quadrature``: the integral, rescaled to (0, 1) with every
-distance to an end of the share range formed without cancellation, under the
-tanh-sinh rule.  ``pdf_points`` batches it over arrays of points, and
-``pdf_grid`` is ``pdf_points`` on a lattice.  ``pdf_closed_form`` keeps the
-paper's hypergeometric expression (Appell F1 off the diagonals, Gauss 2F1 on
-them) as a reference.  The unit square splits into four open triangles,
-cut by x = y and x + y = 1, and the closed forms take a shape on each.
+``pdf``, also named ``pdf_quadrature``, is the integral, rescaled to (0, 1)
+with every distance to an end of the share range formed without
+cancellation, under the tanh-sinh rule.  ``pdf_points`` batches it over
+arrays of points, and ``pdf_grid`` is ``pdf_points`` on a lattice.
+``pdf_closed_form`` keeps the paper's hypergeometric expression (Appell F1
+off the diagonals, Gauss 2F1 on them) as a reference.  The unit square
+splits into four open triangles, cut by x = y and x + y = 1, and the closed
+forms take a shape on each.
 
 Only the lower-left triangle and the two half-lines through it are coded
 directly.  The other pieces are reached through two exact distributional
@@ -234,13 +235,16 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
     return value, error, batch.converged, batch.evaluations, False
 
 
-def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
-                   tol: float = 1e-10) -> DensityValue:
-    """Density by direct tanh-sinh integration over the share range, on
-    the integrand ``pdf_grid`` uses, as a batch of one point.
+def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
+    """Density at (x, y) to relative tolerance ``tol``, by direct tanh-sinh
+    integration over the share range, on the integrand ``pdf_grid`` uses, as
+    a batch of one point.
 
-    Returns the infinity marker where the integral diverges.  A
-    ``ConvergenceError`` carries the best estimate as a ``DensityValue``.
+    ``inf`` with ``diverged`` True on a divergent cut line; ``inf`` with
+    ``diverged`` False where a finite density exceeds the float range, as
+    near a corner with small weights; ``DomainError`` off the open square or
+    for a ``tol`` that is not finite and positive; ``ConvergenceError``,
+    carrying the best ``DensityValue``, if the rule runs out of levels.
     """
     x, y = float(x), float(y)
     _require_inside(x, y, tol)
@@ -251,6 +255,10 @@ def pdf_quadrature(alpha: AlphaBivariate, x: float, y: float,
         raise ConvergenceError(f"density at ({x!r}, {y!r}) did not reach tol={tol:g}",
                                result=result)
     return result
+
+
+# the name of the quadrature route, kept beside ``pdf_closed_form``
+pdf_quadrature = pdf
 
 
 # --- closed forms ---------------------------------------------------------
@@ -374,18 +382,6 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
     return DensityValue(v, "closed_form", diverged=False)
 
 
-def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
-    """Density at (x, y) to relative tolerance ``tol``: ``pdf_quadrature``.
-
-    ``inf`` with ``diverged`` True on a divergent cut line; ``inf`` with
-    ``diverged`` False where a finite density exceeds the float range, as
-    near a corner with small weights; ``DomainError`` off the open square or
-    for a ``tol`` that is not finite and positive; ``ConvergenceError``,
-    carrying the best ``DensityValue``, if the rule runs out of levels.
-    """
-    return pdf_quadrature(alpha, x, y, tol=tol)
-
-
 class DensityArrays(NamedTuple):
     """Per-point results of ``pdf_points``, each shaped like the input."""
 
@@ -401,8 +397,8 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
 
     Points are grouped by their sign pattern of (x + y - 1, x - y), which
     fixes the integrand's endpoint exponents, and each group runs through
-    ``pdf_quadrature``'s integrand in batched kernel calls of up to 256
-    points.  Points on the cut lines and the center follow ``pdf``'s rules.
+    ``pdf``'s integrand in batched kernel calls of up to 256 points.  Points
+    on the cut lines and the center follow ``pdf``'s rules.
     ``DomainError`` if any point lies off the open square or for a bad
     ``tol``; ``ConvergenceError`` if any point runs out of levels.
     """
@@ -443,8 +439,11 @@ def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
     Returns an (R*R, 3) array of rows (x, y, density), the first coordinate
     varying slowest.  Cells sitting exactly on a divergent cut line hold the
     infinity marker.  The lattice goes through ``pdf_points``; an
-    unconverged cell raises ``ConvergenceError``.
+    unconverged cell raises ``ConvergenceError``.  ``resolution`` must be an
+    integer >= 2, or ``DomainError``.
     """
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
+        raise DomainError(f"resolution must be an integer, got {resolution!r}")
     resolution = int(resolution)
     if resolution < 2:
         raise DomainError(f"resolution must be >= 2, got {resolution!r}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bibeta
+from bibeta.baselines import LibbyNovickParams, pdf_three_param, sample_libby_novick
 from bibeta.cli import _read_pairs, main
 from bibeta.construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
                                  sample_bivariate, sample_trivariate)
@@ -232,6 +233,25 @@ class TestBaselineCommand:
         assert lines[0] == "x,y"
         assert len(lines) == 7
 
+    @pytest.mark.parametrize("draw_args, n, seed", [
+        ((), 1000, 0),
+        (("--n", "5"), 5, 0),
+        (("--seed", "3"), 1000, 3),
+        (("--n", "5", "--seed", "3"), 5, 3),
+    ])
+    def test_three_param_sample_defaults(self, capsys, draw_args, n, seed):
+        code, out, _ = run_cli(capsys, "baseline", "--family", "three-param",
+                               "--shapes", "2,3,4", *draw_args)
+        assert code == 0
+        draws = sample_libby_novick(LibbyNovickParams(2, 3, 4), n, RandomStream(seed))
+        assert out == reference_csv(("x", "y"), draws)
+
+    def test_three_param_pdf_is_exact(self, capsys):
+        code, out, _ = run_cli(capsys, "baseline", "--family", "three-param",
+                               "--shapes", "2,3,4", "--pdf-at", "0.4,0.6")
+        assert code == 0
+        assert out == f"{pdf_three_param(2, 3, 4, 0.4, 0.6):.17g}\n"
+
     def test_arnold_sample(self, capsys):
         code, out, _ = run_cli(capsys, "baseline", "--family", "arnold",
                                "--shapes", "1,1,1,1,1", "--n", "5")
@@ -262,6 +282,15 @@ class TestExitCodes:
                              "--shapes", "1,1,1,1,1", "--pdf-at", "0.5,0.5")
         assert code == 2
 
+    @pytest.mark.parametrize("family", ["three-param", "libby-novick"])
+    @pytest.mark.parametrize("draw_flag", [("--n", "5"), ("--seed", "3"), ("--n", "1000")])
+    def test_pdf_at_refuses_draw_flags(self, capsys, family, draw_flag):
+        code, out, err = run_cli(capsys, "baseline", "--family", family, "--shapes", "2,3,4",
+                                 "--pdf-at", "0.4,0.6", *draw_flag)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f"error: {draw_flag[0]} does not combine with --pdf-at\n")
+
     def test_wrong_shape_count(self, capsys):
         code, _, _ = run_cli(capsys, "baseline", "--family", "three-param",
                              "--shapes", "1,1,1,1,1")
@@ -276,6 +305,40 @@ class TestExitCodes:
     def test_negative_alpha(self, capsys):
         # equals form keeps argparse from reading the value as an option
         assert run_cli(capsys, "corr", "--alpha=-1,1,1,1")[0] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("sample",),
+        ("pdf", "--point", "0.5,0.5"),
+        ("grid",),
+        ("moments",),
+    ])
+    def test_negative_alpha_on_every_subcommand(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--alpha=-1,1,1,1")
+        assert code == 3
+        assert out == "" and err.startswith("error: a11 must be")
+
+    def test_bad_fit_option_precedes_a_missing_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "fit", "--input", str(tmp_path / "missing.csv"),
+                                 "--seed", "-1")
+        assert code == 3
+        assert out == "" and err.startswith("error: seed must be")
+
+    @pytest.mark.parametrize("family, rates", [
+        ("three-param", "1,1,1"),
+        ("libby-novick", "1,1"),
+    ])
+    def test_bad_rates_are_usage_errors(self, capsys, family, rates):
+        code, out, err = run_cli(capsys, "baseline", "--family", family,
+                                 "--shapes", "2,3,4", "--rates", rates)
+        assert code == 2
+        assert out == "" and "--rates" in err
+
+    @pytest.mark.parametrize("subcommand", ["sample", "pdf", "grid", "moments", "corr",
+                                            "table", "fit", "baseline"])
+    def test_help(self, capsys, subcommand):
+        code, out, _ = run_cli(capsys, subcommand, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: bibeta {subcommand}")
 
     def test_malformed_csv(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"

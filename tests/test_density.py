@@ -298,7 +298,9 @@ class TestPdf:
             assert pdf(GENERIC, 0.3, 0.6, tol=tol).method == "quadrature"
         assert seen == [1e-10, 1e-6]
 
-    @pytest.mark.parametrize("route", [pdf, pdf_quadrature, pdf_closed_form, pdf_points])
+    # pdf_quadrature is another name for pdf, so the ids are spelled out
+    @pytest.mark.parametrize("route", [pdf, pdf_quadrature, pdf_closed_form, pdf_points],
+                             ids=["pdf", "pdf_quadrature", "pdf_closed_form", "pdf_points"])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("weights,x,y", [
         ((2.0, 3.0, 4.0, 5.0), 0.5, 0.5),       # center: a gamma-function value
@@ -388,6 +390,14 @@ class TestPdfGrid:
     def test_rejects_degenerate_resolution(self):
         with pytest.raises(DomainError):
             pdf_grid(ONES, resolution=1)
+
+    @pytest.mark.parametrize("resolution", [2.9, 3.0, True, "3", None])
+    def test_rejects_a_resolution_that_is_not_an_integer(self, resolution):
+        with pytest.raises(DomainError, match="resolution must be an integer"):
+            pdf_grid(ONES, resolution=resolution)
+
+    def test_accepts_a_numpy_integer_resolution(self):
+        assert pdf_grid(ONES, resolution=np.int64(3)).shape == (9, 3)
 
 
 class TestPdfPoints:
