@@ -12,8 +12,7 @@ implementations of the classical comparison families.
 from .baselines import (ArnoldParams, LibbyNovickParams, pdf_libby_novick,
                         pdf_three_param, sample_arnold, sample_libby_novick)
 from .construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
-                           sample_bivariate, sample_dirichlet, sample_gamma,
-                           sample_trivariate)
+                           sample_bivariate, sample_dirichlet, sample_trivariate)
 from .density import (DensityArrays, DensityValue, Region, classify_region, pdf,
                       pdf_closed_form, pdf_grid, pdf_points, pdf_quadrature)
 from .errors import (BibetaError, ConvergenceError, DegenerateDataError,
@@ -24,7 +23,7 @@ from .fitting import (FitOptions, FitResult, alpha_sum_bound, fit_data,
 from .moments import (MomentVector, central_moment, correlation,
                       correlation_table, mixed_moment, moment_vector)
 from .special import (IntegrandSpec, QuadratureResult, appell_f1, hyp2f1,
-                      integrate_unit, ln_beta_multi, ln_gamma)
+                      integrate_unit, ln_beta_multi)
 
 __version__ = "0.1.0"
 
@@ -32,10 +31,10 @@ __all__ = [
     "__version__",
     "BibetaError", "DomainError", "ConvergenceError",
     "InfeasibleMomentsError", "DegenerateDataError",
-    "ln_gamma", "ln_beta_multi", "IntegrandSpec", "QuadratureResult",
+    "ln_beta_multi", "IntegrandSpec", "QuadratureResult",
     "integrate_unit", "hyp2f1", "appell_f1",
     "AlphaBivariate", "AlphaTrivariate", "RandomStream",
-    "sample_gamma", "sample_dirichlet", "sample_bivariate", "sample_trivariate",
+    "sample_dirichlet", "sample_bivariate", "sample_trivariate",
     "Region", "classify_region", "DensityValue", "DensityArrays",
     "pdf", "pdf_closed_form", "pdf_quadrature", "pdf_points", "pdf_grid",
     "MomentVector", "moment_vector", "correlation", "correlation_table",

@@ -40,9 +40,12 @@ def _fmt(v: float) -> str:
 def _emit(text: str, output_path: str | None) -> None:
     if output_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write output file: {exc}") from exc
 
 
 def _csv_text(header, rows) -> str:

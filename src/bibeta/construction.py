@@ -20,7 +20,6 @@ __all__ = [
     "AlphaBivariate",
     "AlphaTrivariate",
     "RandomStream",
-    "sample_gamma",
     "sample_dirichlet",
     "sample_bivariate",
     "sample_trivariate",
@@ -146,18 +145,6 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed})"
-
-
-def sample_gamma(shape: float, stream: RandomStream, size=None):
-    """Draw from Gamma(shape, scale 1).
-
-    Thin wrapper over numpy's sampler, which uses Marsaglia-Tsang
-    squeeze/rejection and routes shapes below 1 through the boost identity
-    G(a) = G(a+1) * U**(1/a).  Returns a scalar when ``size`` is None.
-    """
-    shape = _check_positive("shape", shape)
-    out = stream.generator.standard_gamma(shape, size=size)
-    return float(out) if size is None else out
 
 
 def _check_count(name: str, value) -> int:

@@ -5,8 +5,9 @@ The estimator minimizes the squared distance between the five exact moments
 positive weights.  ``minimize`` is a Levenberg-Marquardt solve in the log
 weights from a closed-form initial inversion; the five residuals and their
 Jacobian are closed form.  With third-order matching, four residuals on the
-third central moments join the same solve, their Jacobian rows taken by
-central differences.  A fit whose total weight reaches the feasibility bound
+third central moments join the same solve; those moments are third joint
+cumulants of the Dirichlet shares, so they and their Jacobian rows are
+closed form too.  A fit whose total weight reaches the feasibility bound
 implied by the marginal variances is scaled back under it.  Jittered
 restarts around the inversion run only while every start so far has failed
 to converge, up to ``FitOptions.restarts`` starts in all.
@@ -21,7 +22,8 @@ import numpy as np
 
 from .construction import AlphaBivariate
 from .errors import DegenerateDataError, DomainError, InfeasibleMomentsError
-from .moments import MomentVector, central_moment, moment_vector
+# central_moment stays bound: perfbench/tracing.py wraps it by name, failing if it is missing
+from .moments import MomentVector, central_moment, moment_vector  # noqa: F401
 
 __all__ = [
     "FitOptions",
@@ -42,10 +44,6 @@ _LOG_CLIP = 40.0
 # model in log weights can send a small weight to the clip in one step, where
 # its Jacobian column vanishes and it cannot grow back when it later should
 _MAX_STEP = 2.0
-# central-difference step in log weight for the third-order Jacobian rows,
-# near the cube root of the double-precision epsilon
-_FD_STEP = 1e-5
-_THIRD_ORDERS = ((3, 0), (0, 3), (2, 1), (1, 2))
 # longest run of the data's centred products formed at once: two such
 # buffers stay in a core's cache
 _SUM_LEAF = 1 << 14
@@ -279,20 +277,57 @@ def _five_residuals(alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
                      (c - mx * my) * k]) - targets
 
 
+def _coordinate_rows(m, mx, my, k, c) -> np.ndarray:
+    """d(mx, my, k, c)/d(a11, a10, a01, a00), 4 x 4."""
+    return np.array([[1.0 - mx, 1.0 - mx, -mx, -mx],
+                     [1.0 - my, -my, 1.0 - my, -my],
+                     [-k * k * m] * 4,
+                     [1.0 - c, -c, -c, -c]]) / m
+
+
 def _five_jacobian(alpha: np.ndarray) -> np.ndarray:
     """d(residuals)/d(log alpha) of ``_five_residuals``, 5 x 4."""
-    m, mx, my, k, c = _coordinates(alpha)
-    # rows d(mx, my, k, c)/d(a11, a10, a01, a00)
-    dq = np.array([[1.0 - mx, 1.0 - mx, -mx, -mx],
-                   [1.0 - my, -my, 1.0 - my, -my],
-                   [-k * k * m] * 4,
-                   [1.0 - c, -c, -c, -c]]) / m
+    m, mx, my, k, c = coords = _coordinates(alpha)
     dr = np.array([[1.0, 0.0, 0.0, 0.0],
                    [0.0, 1.0, 0.0, 0.0],
                    [(1.0 - 2.0 * mx) * k, 0.0, mx * (1.0 - mx), 0.0],
                    [0.0, (1.0 - 2.0 * my) * k, my * (1.0 - my), 0.0],
                    [-my * k, -mx * k, c - mx * my, k]])
-    return dr @ dq * alpha
+    return dr @ _coordinate_rows(*coords) * alpha
+
+
+def _third_shapes(mx, my, c) -> np.ndarray:
+    """The third central moments (m30, m03, m21, m12) over k3."""
+    return np.array([mx * (1.0 - mx) * (1.0 - 2.0 * mx),
+                     my * (1.0 - my) * (1.0 - 2.0 * my),
+                     c - mx * my - 2.0 * c * mx + 2.0 * mx * mx * my,
+                     c - mx * my - 2.0 * c * my + 2.0 * mx * my * my])
+
+
+def _third_residuals(alpha: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The four third-order moment differences.
+
+    X and Y are sums of Dirichlet shares, so their third central moments are
+    third joint cumulants of the shares (Johnson, Kotz, Balakrishnan &
+    Bolshev, Continuous Multivariate Distributions, vol. 1, ch. 49): each is
+    k3 = 2/((m+1)(m+2)) times a cubic in the ``_coordinates``.
+    """
+    m, mx, my, _, c = _coordinates(alpha)
+    return 2.0 / ((m + 1.0) * (m + 2.0)) * _third_shapes(mx, my, c) - targets
+
+
+def _third_jacobian(alpha: np.ndarray) -> np.ndarray:
+    """d(residuals)/d(log alpha) of ``_third_residuals``, 4 x 4."""
+    m, mx, my, k, c = coords = _coordinates(alpha)
+    k3 = 2.0 * k / (m + 2.0)
+    # d(shapes)/d(mx, my, c) and dk3/dm; every weight moves m by one
+    ds = np.array([[1.0 - 6.0 * mx + 6.0 * mx * mx, 0.0, 0.0],
+                   [0.0, 1.0 - 6.0 * my + 6.0 * my * my, 0.0],
+                   [4.0 * mx * my - my - 2.0 * c, 2.0 * mx * mx - mx, 1.0 - 2.0 * mx],
+                   [2.0 * my * my - my, 4.0 * mx * my - mx - 2.0 * c, 1.0 - 2.0 * my]])
+    dk3 = -k3 * (k + 1.0 / (m + 2.0))
+    dq = _coordinate_rows(*coords)[[0, 1, 3]]
+    return (k3 * ds @ dq + dk3 * _third_shapes(mx, my, c)[:, None]) * alpha
 
 
 def _third_order_targets(data) -> tuple:
@@ -310,18 +345,14 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
         def jacobian(theta):
             return _five_jacobian(np.exp(theta))
     else:
-        def third(theta):
-            alpha = AlphaBivariate(*np.exp(theta))
-            return np.array([central_moment(alpha, r, s) for r, s in _THIRD_ORDERS])
-
         def residuals(theta):
-            return np.concatenate((_five_residuals(np.exp(theta), targets),
-                                   third(theta) - third_targets))
+            alpha = np.exp(theta)
+            return np.concatenate((_five_residuals(alpha, targets),
+                                   _third_residuals(alpha, third_targets)))
 
         def jacobian(theta):
-            columns = [(third(theta + h) - third(theta - h)) / (2.0 * _FD_STEP)
-                       for h in np.eye(4) * _FD_STEP]
-            return np.vstack((_five_jacobian(np.exp(theta)), np.transpose(columns)))
+            alpha = np.exp(theta)
+            return np.vstack((_five_jacobian(alpha), _third_jacobian(alpha)))
 
     theta_base = np.log(initial_guess(m).as_array())
     rng = np.random.Generator(np.random.PCG64(opts.seed))

@@ -1,4 +1,4 @@
-"""Log-gamma, multivariate beta, and hypergeometric evaluation on (0, 1).
+"""Multivariate beta and hypergeometric evaluation on (0, 1).
 
 The workhorse is a double-exponential (tanh-sinh) quadrature rule specialised
 to integrands of the form ``t**p * (1-t)**q * smooth(t)`` with ``p, q > -1``.
@@ -42,7 +42,6 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "QuadratureResult",
     "IntegrandSpec",
-    "ln_gamma",
     "ln_beta_multi",
     "integrate_unit",
     "integrate_unit_batch",
@@ -58,18 +57,6 @@ _T_HI = float(np.nextafter(1.0, 0.0))
 
 # exp underflows to 0 below -745; cap node ranges once the weight is gone.
 _LOG_TINY = 780.0
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Relative accuracy is limited only by the platform ``lgamma``, which is
-    well under the 1e-13 this library needs.
-    """
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def ln_beta_multi(alphas: Sequence[float]) -> float:

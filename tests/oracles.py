@@ -160,3 +160,31 @@ def density_mpmath(alpha_tuple, x: float, y: float, dps: int = 20) -> float:
         ln_b = (sum(mpmath.loggamma(e + 1) for e in (e11, e10, e01, e00))
                 - mpmath.loggamma(e11 + e10 + e01 + e00 + 4))
         return float(total * mpmath.exp(-ln_b))
+
+
+def central_moment_mpmath(alpha_tuple, r: int, s: int, dps: int = 50) -> float:
+    """E[(X - EX)**r * (Y - EY)**s] in ``dps``-digit mpmath arithmetic.
+
+    The binomial expansion over raw moments, each a sum of Dirichlet
+    moments (ratios of rising factorials), with the weights entering as
+    their exact binary values.  The expansion cancels, so ``dps`` must
+    exceed 16 by the number of digits it loses.
+    """
+    import mpmath
+
+    def rising(a, k):
+        return mpmath.fprod(a + i for i in range(k))
+
+    with mpmath.workdps(dps):
+        a11, a10, a01, a00 = (mpmath.mpf(a) for a in alpha_tuple)
+        m = a11 + a10 + a01 + a00
+        mu_x, mu_y = (a11 + a10) / m, (a11 + a01) / m
+        total = mpmath.mpf(0)
+        for i in range(r + 1):
+            for j in range(s + 1):
+                raw = mpmath.fsum(math.comb(i, p) * math.comb(j, q) * rising(a11, p + q)
+                                  * rising(a10, i - p) * rising(a01, j - q)
+                                  for p in range(i + 1) for q in range(j + 1)) / rising(m, i + j)
+                total += (math.comb(r, i) * math.comb(s, j)
+                          * (-mu_x) ** (r - i) * (-mu_y) ** (s - j) * raw)
+        return float(total)

@@ -142,6 +142,17 @@ class TestSampleAndGrid:
         assert lines[0] == "x,y"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("command", [
+        ("sample", "--alpha", "1,1,1,1", "--n", "2"),
+        ("grid", "--alpha", "2,2,2,2", "--resolution", "3"),
+    ])
+    def test_unwritable_output_is_a_domain_error(self, capsys, tmp_path, command):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, *command, "--output", str(target))
+        assert code == 3
+        assert out == "" and err.startswith("error: cannot write output file:")
+        assert not target.parent.exists()
+
 
 class TestFitCommand:
     def test_round_trip(self, capsys, tmp_path):

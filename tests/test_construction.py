@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bibeta import construction
 from bibeta.construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
-                                 sample_bivariate, sample_dirichlet,
-                                 sample_gamma, sample_trivariate)
+                                 sample_bivariate, sample_dirichlet, sample_trivariate)
 from bibeta.errors import DomainError
 from bibeta.moments import correlation, moment_vector
 
@@ -49,13 +49,13 @@ class TestAlphaTrivariate:
 
 class TestRandomStream:
     def test_determinism(self):
-        a = sample_gamma(2.0, RandomStream(123), size=50)
-        b = sample_gamma(2.0, RandomStream(123), size=50)
+        a = sample_dirichlet((2.0, 3.0), RandomStream(123), size=50)
+        b = sample_dirichlet((2.0, 3.0), RandomStream(123), size=50)
         assert np.array_equal(a, b)
 
     def test_distinct_seeds_diverge(self):
-        a = sample_gamma(2.0, RandomStream(1), size=50)
-        b = sample_gamma(2.0, RandomStream(2), size=50)
+        a = sample_dirichlet((2.0, 3.0), RandomStream(1), size=50)
+        b = sample_dirichlet((2.0, 3.0), RandomStream(2), size=50)
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7"])
@@ -65,20 +65,14 @@ class TestRandomStream:
 
 
 class TestSampleGamma:
-    def test_rejects_nonpositive_shape(self):
-        with pytest.raises(DomainError):
-            sample_gamma(0.0, RandomStream(0))
-        with pytest.raises(DomainError):
-            sample_gamma(-2.0, RandomStream(0))
-
-    def test_scalar_when_unsized(self):
-        v = sample_gamma(1.5, RandomStream(0))
-        assert isinstance(v, float) and v > 0.0
+    """The gamma draws every sampler divides into shares."""
 
     @pytest.mark.parametrize("shape,tol", [(1.0, 0.004), (5.0, 0.01), (0.3, 0.002)])
     def test_sample_means(self, shape, tol):
-        draws = sample_gamma(shape, RandomStream(2024), size=1_000_000)
-        assert abs(draws.mean() - shape) < tol
+        draws, totals = construction._gamma_rows(np.array([shape, 2.0]), 1_000_000,
+                                                 RandomStream(2024))
+        assert np.array_equal(totals, draws[:, 0] + draws[:, 1])
+        assert abs(draws[:, 0].mean() - shape) < tol
 
 
 class TestSampleDirichlet:

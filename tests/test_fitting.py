@@ -15,6 +15,7 @@ from bibeta.fitting import (
     sample_central_moments,
 )
 from bibeta.moments import MomentVector, central_moment, correlation, moment_vector
+from oracles import central_moment_mpmath
 
 REFERENCE_ALPHA = AlphaBivariate(4.7, 3.5, 2.1, 3.7)
 # target vectors quoted to four decimals, hence not exactly attainable
@@ -347,23 +348,45 @@ def _nine_residual_objective(alpha, data):
         for (r, s), t in zip(((3, 0), (0, 3), (2, 1), (1, 2)), targets))
 
 
+_THETAS = [
+    (0.0, 0.0, 0.0, 0.0),
+    (1.5, 1.2, 0.7, 1.3),
+    (-2.0, 0.5, 2.5, -1.0),
+    (3.0, -30.0, 1.0, 2.0),
+]
+
+
+def _assert_jacobian_matches_central_differences(residuals, jacobian, theta, targets):
+    theta = np.array(theta)
+    h = 1e-6
+    numeric = np.column_stack([
+        (residuals(np.exp(theta + e), targets) - residuals(np.exp(theta - e), targets))
+        / (2.0 * h)
+        for e in np.eye(4) * h])
+    analytic = jacobian(np.exp(theta))
+    assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9 * np.max(np.abs(analytic)))
+
+
 class TestLevenbergMarquardt:
-    @pytest.mark.parametrize("theta", [
-        (0.0, 0.0, 0.0, 0.0),
-        (1.5, 1.2, 0.7, 1.3),
-        (-2.0, 0.5, 2.5, -1.0),
-        (3.0, -30.0, 1.0, 2.0),
-    ])
+    @pytest.mark.parametrize("theta", _THETAS)
     def test_analytic_jacobian_matches_central_differences(self, theta):
-        theta = np.array(theta)
-        targets = np.array(M_EXACT.as_tuple())
-        h = 1e-6
-        numeric = np.column_stack([
-            (fitting._five_residuals(np.exp(theta + e), targets)
-             - fitting._five_residuals(np.exp(theta - e), targets)) / (2.0 * h)
-            for e in np.eye(4) * h])
-        analytic = fitting._five_jacobian(np.exp(theta))
-        assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9 * np.max(np.abs(analytic)))
+        _assert_jacobian_matches_central_differences(
+            fitting._five_residuals, fitting._five_jacobian, theta, np.array(M_EXACT.as_tuple()))
+
+    @pytest.mark.parametrize("theta", _THETAS)
+    def test_third_order_jacobian_matches_central_differences(self, theta):
+        _assert_jacobian_matches_central_differences(
+            fitting._third_residuals, fitting._third_jacobian, theta,
+            np.array([2e-4, -1e-4, 5e-5, 3e-5]))
+
+    def test_closed_form_third_moments_match_mpmath(self):
+        rng = np.random.Generator(np.random.PCG64(607))
+        for _ in range(200):
+            alpha = np.exp(rng.uniform(-3.0, 5.0, size=4))
+            got = fitting._third_residuals(alpha, np.zeros(4))
+            ref = np.array([central_moment_mpmath(alpha, r, s)
+                            for r, s in ((3, 0), (0, 3), (2, 1), (1, 2))])
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     # objective values the Nelder-Mead search this solver replaced reached
     # on the same targets; (3, 0.3, 2, 5) at n = 20 sends a10 to the
@@ -390,6 +413,23 @@ class TestLevenbergMarquardt:
         res = fit_moments(m)
         assert res.converged
         assert res.objective_value <= (1.0 + 1e-9) * float.fromhex(simplex_objective)
+
+    # nine-residual objectives the central-difference Jacobian reached on the
+    # same samples
+    @pytest.mark.parametrize("weights, n, stream, difference_objective", [
+        ((2.0, 3.0, 4.0, 5.0), 10 ** 6, 101, "0x1.b7a6c649ce1ffp-33"),
+        ((2.0, 3.0, 4.0, 5.0), 10 ** 5, 303, "0x1.d85ad6c1e54cep-27"),
+        ((2.0, 3.0, 4.0, 5.0), 50, 1, "0x1.013603f815ed6p-19"),
+        ((0.5, 0.7, 0.8, 0.6), 200, 3, "0x1.480cdd37c2266p-16"),
+        ((1.0, 1.0, 1.0, 1.0), 1000, 5, "0x1.049c8213b7894p-20"),
+    ])
+    def test_third_order_fits_match_the_difference_objective(self, weights, n, stream,
+                                                              difference_objective):
+        draws = sample_bivariate(AlphaBivariate(*weights), n, RandomStream(stream))
+        res = fit_data(draws, match_third_order=True)
+        assert res.converged
+        assert (_nine_residual_objective(res.alpha_star, draws)
+                <= (1.0 + 1e-9) * float.fromhex(difference_objective))
 
     def test_third_order_fit_improves_on_the_guess(self):
         # a sample whose five-moment guess the simplex search could not beat

@@ -16,6 +16,7 @@ from bibeta.moments import (
     mixed_moment,
     moment_vector,
 )
+from oracles import central_moment_mpmath
 
 REFERENCE_ALPHA = AlphaBivariate(4.7, 3.5, 2.1, 3.7)
 ONES = AlphaBivariate(1, 1, 1, 1)
@@ -177,6 +178,23 @@ class TestCentralMoment:
 
     def test_symmetric_case_has_zero_skew(self):
         assert central_moment(ONES, 3, 0) == pytest.approx(0.0, abs=1e-12)
+
+    # the raw-moment expansion cancels here: in doubles it put the (4, 4)
+    # moment at (1000, 300, 400, 500) 7% low
+    @pytest.mark.parametrize("weights", [
+        (1000.0, 300.0, 400.0, 500.0),
+        (100.0, 101.0, 102.0, 103.0),
+        (20.0, 30.0, 40.0, 50.0),
+        (5000.0, 0.5, 2000.0, 30.0),
+        (1e-3, 2.0, 0.3, 1e4),
+    ])
+    def test_matches_mpmath_at_large_weights(self, weights):
+        alpha = AlphaBivariate(*weights)
+        for order in range(1, 9):
+            for r in range(order + 1):
+                ref = central_moment_mpmath(weights, r, order - r)
+                assert central_moment(alpha, r, order - r) == pytest.approx(ref, rel=1e-14,
+                                                                            abs=0.0)
 
     def test_monte_carlo_agreement(self):
         a = AlphaBivariate(2.5, 1.2, 0.8, 3.0)

@@ -2,33 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bibeta.errors import ConvergenceError, DomainError
 from bibeta.special import (IntegrandSpec, QuadratureResult, appell_f1, hyp2f1,
-                            integrate_unit, integrate_unit_batch, ln_beta_multi,
-                            ln_gamma)
+                            integrate_unit, integrate_unit_batch, ln_beta_multi)
 from oracles import appell_f1_series, gauss_legendre_unit, hyp2f1_series
-
-
-class TestLnGamma:
-    def test_known_values(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-13)
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_rejects_outside_domain(self, bad):
-        with pytest.raises(DomainError):
-            ln_gamma(bad)
-
-    @given(st.floats(min_value=0.1, max_value=100.0))
-    @settings(max_examples=80, deadline=None)
-    def test_recurrence(self, x):
-        lhs = ln_gamma(x + 1.0)
-        rhs = ln_gamma(x) + math.log(x)
-        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 class TestLnBetaMulti:
