@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import RandomStream
+from .construction import _OPEN_HI, _OPEN_LO, RandomStream, _check_count
 from .errors import DomainError
 from .special import ln_beta_multi
 
@@ -25,9 +25,6 @@ __all__ = [
     "pdf_three_param",
     "sample_arnold",
 ]
-
-_LO = float(np.nextafter(0.0, 1.0))
-_HI = float(np.nextafter(1.0, 0.0))
 
 
 def _check_positive(name, value):
@@ -78,9 +75,11 @@ class ArnoldParams:
             _check_positive(name, getattr(self, name))
 
 
-def _check_n(n):
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+def _check_n(n) -> int:
+    n = _check_count("n", n)
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got {n!r}")
+    return n
 
 
 def _check_point(x, y):
@@ -91,20 +90,22 @@ def _check_point(x, y):
         raise DomainError(f"point ({x}, {y}) is outside the open unit square")
 
 
-def sample_libby_novick(p: LibbyNovickParams, n: int, stream: RandomStream) -> np.ndarray:
-    """Draw n pairs as ratios G1/(G1+G0), G2/(G2+G0)."""
-    _check_n(n)
+def _gamma_ratio_pairs(n, stream: RandomStream, shapes, ratios) -> np.ndarray:
+    """n pairs ``ratios(*g)`` of unit-scale Gamma(shape) draws ``g``, one
+    array per entry of ``shapes``, drawn in that order.
+
+    A pair that comes out non-finite (every gamma of a ratio underflowed to
+    0) is drawn again, up to 8 times.  The pairs are clipped into the open
+    unit square.
+    """
+    n = _check_n(n)
     gen = stream.generator
     out = np.empty((n, 2))
     todo = np.arange(n)
     for _ in range(8):
-        k = todo.size
-        g0 = gen.standard_gamma(p.a0, size=k) / p.b0
-        g1 = gen.standard_gamma(p.a1, size=k) / p.b1
-        g2 = gen.standard_gamma(p.a2, size=k) / p.b2
+        g = [gen.standard_gamma(a, size=todo.size) for a in shapes]
         with np.errstate(invalid="ignore", divide="ignore"):
-            x = g1 / (g1 + g0)
-            y = g2 / (g2 + g0)
+            x, y = ratios(*g)
         out[todo, 0] = x
         out[todo, 1] = y
         todo = todo[~(np.isfinite(x) & np.isfinite(y))]
@@ -112,7 +113,16 @@ def sample_libby_novick(p: LibbyNovickParams, n: int, stream: RandomStream) -> n
             break
     else:
         raise DomainError("sampler kept producing degenerate gamma draws")
-    return np.clip(out, _LO, _HI)
+    return np.clip(out, _OPEN_LO, _OPEN_HI)
+
+
+def sample_libby_novick(p: LibbyNovickParams, n: int, stream: RandomStream) -> np.ndarray:
+    """Draw n pairs as ratios G1/(G1+G0), G2/(G2+G0)."""
+    def ratios(g0, g1, g2):
+        g0, g1, g2 = g0 / p.b0, g1 / p.b1, g2 / p.b2
+        return g1 / (g1 + g0), g2 / (g2 + g0)
+
+    return _gamma_ratio_pairs(n, stream, (p.a0, p.a1, p.a2), ratios)
 
 
 def pdf_libby_novick(p: LibbyNovickParams, x: float, y: float) -> float:
@@ -146,22 +156,7 @@ def sample_arnold(p: ArnoldParams, n: int, stream: RandomStream) -> np.ndarray:
     X = (G1+G3)/(G1+G3+G4+G5) and Y = (G2+G4)/(G2+G3+G4+G5).  The pair
     density has no closed form, so this family is sampler-only.
     """
-    _check_n(n)
-    gen = stream.generator
-    out = np.empty((n, 2))
-    todo = np.arange(n)
-    for _ in range(8):
-        k = todo.size
-        g = [gen.standard_gamma(a, size=k) for a in (p.a1, p.a2, p.a3, p.a4, p.a5)]
-        g1, g2, g3, g4, g5 = g
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x = (g1 + g3) / (g1 + g3 + g4 + g5)
-            y = (g2 + g4) / (g2 + g3 + g4 + g5)
-        out[todo, 0] = x
-        out[todo, 1] = y
-        todo = todo[~(np.isfinite(x) & np.isfinite(y))]
-        if todo.size == 0:
-            break
-    else:
-        raise DomainError("sampler kept producing degenerate gamma draws")
-    return np.clip(out, _LO, _HI)
+    def ratios(g1, g2, g3, g4, g5):
+        return (g1 + g3) / (g1 + g3 + g4 + g5), (g2 + g4) / (g2 + g3 + g4 + g5)
+
+    return _gamma_ratio_pairs(n, stream, (p.a1, p.a2, p.a3, p.a4, p.a5), ratios)

@@ -330,10 +330,6 @@ def _third_jacobian(alpha: np.ndarray) -> np.ndarray:
     return (k3 * ds @ dq + dk3 * _third_shapes(mx, my, c)[:, None]) * alpha
 
 
-def _third_order_targets(data) -> tuple:
-    return _data_moments(data, third=True)[1]
-
-
 def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
     bound = alpha_sum_bound(m)
     targets = np.asarray(m.as_tuple())

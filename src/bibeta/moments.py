@@ -2,8 +2,9 @@
 
 Everything here is closed form.  Mixed raw moments reduce, via multinomial
 expansion of (u11 + u10)**r * (u11 + u01)**s, to Dirichlet moments, which are
-ratios of rising factorials.  Central moments expand over those raw moments,
-summed in exact integer arithmetic because the expansion cancels.
+ratios of rising factorials.  Central moments expand over those raw moments.
+Both are summed by one route, in exact integer arithmetic, and rounded once
+at the end, so every order is correctly rounded.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .construction import AlphaBivariate
+from .construction import AlphaBivariate, _check_count
 from .errors import DomainError
 
 __all__ = [
@@ -78,75 +79,19 @@ def correlation(alpha: AlphaBivariate) -> float:
     return num / den
 
 
-def _rising(a: float, n: int) -> float:
-    out = 1.0
-    for k in range(n):
-        out *= a + k
-    return out
+def _exact_raw_moments(alpha: AlphaBivariate, n: int):
+    """Raw moments up to total order ``n`` in exact integer arithmetic.
 
-
-def _ln_rising(a: float, n: int) -> float:
-    return math.lgamma(a + n) - math.lgamma(a)
-
-
-def _check_order(name: str, value) -> int:
-    if not isinstance(value, (int,)) or isinstance(value, bool) or value < 0:
-        raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
-def mixed_moment(alpha: AlphaBivariate, r: int, s: int) -> float:
-    """E[X**r * Y**s], exact.
-
-    Products of rising factorials are formed directly for small total order
-    and in log space above order 8, where they would overflow long before
-    the moment itself leaves (0, 1).
+    Each float weight is an integer A over a common power of two D, and a
+    rising factorial a**(k) is A(A + D)...(A + (k-1)D) / D**k.  Expanding
+    (u11 + u10)**i * (u11 + u01)**j over Dirichlet moments, the powers of D
+    cancel, so E[X**i * Y**j] is ``raw(i, j) / rm[i + j]``, both integers.
+    Returns the integer total M and margin weights (AX, AY), the table ``rm``
+    of M(M + D)...(M + (k-1)D) for k = 0..n, and ``raw``.
     """
-    r = _check_order("r", r)
-    s = _check_order("s", s)
-    if r + s == 0:
-        return 1.0
-    m = alpha.total
-    order = r + s
-    if order <= 8:
-        total = 0.0
-        for i in range(r + 1):
-            ci = math.comb(r, i) * _rising(alpha.a10, r - i)
-            for j in range(s + 1):
-                total += (ci * math.comb(s, j) * _rising(alpha.a11, i + j)
-                          * _rising(alpha.a01, s - j))
-        return total / _rising(m, order)
-    ln_denom = _ln_rising(m, order)
-    terms = []
-    for i in range(r + 1):
-        for j in range(s + 1):
-            terms.append(math.log(math.comb(r, i)) + math.log(math.comb(s, j))
-                         + _ln_rising(alpha.a11, i + j)
-                         + _ln_rising(alpha.a10, r - i)
-                         + _ln_rising(alpha.a01, s - j)
-                         - ln_denom)
-    top = max(terms)
-    return math.exp(top) * math.fsum(math.exp(t - top) for t in terms)
-
-
-def central_moment(alpha: AlphaBivariate, r: int, s: int) -> float:
-    """E[(X - EX)**r * (Y - EY)**s], correctly rounded.
-
-    The binomial expansion over raw moments cancels: at weights near 1000
-    the (4, 4) moment is about 1e-13 of the raw moments it is summed from.
-    So the expansion is summed exactly.  Each float weight is an integer A
-    over a common power of two D, and a rising factorial a**(k) is
-    A(A + D)...(A + (k-1)D) / D**k.  With M the integer total and n = r + s,
-    every term is an integer over M**n * M(M + D)...(M + (n-1)D), and the
-    one division at the end rounds once.
-    """
-    r = _check_order("r", r)
-    s = _check_order("s", s)
-    n = r + s
     ratios = [w.as_integer_ratio() for w in (alpha.a11, alpha.a10, alpha.a01, alpha.a00)]
     d = max(den for _, den in ratios)
     a11, a10, a01, a00 = (num * (d // den) for num, den in ratios)
-    m, ax, ay = a11 + a10 + a01 + a00, a11 + a10, a11 + a01
 
     def rising(a: int) -> list:
         out = [1]
@@ -154,15 +99,49 @@ def central_moment(alpha: AlphaBivariate, r: int, s: int) -> float:
             out.append(out[-1] * (a + k * d))
         return out
 
-    r11, r10, r01, rm = rising(a11), rising(a10), rising(a01), rising(m)
+    r11, r10, r01 = rising(a11), rising(a10), rising(a01)
+
+    def raw(i: int, j: int) -> int:
+        return sum(math.comb(i, p) * math.comb(j, q) * r11[p + q] * r10[i - p] * r01[j - q]
+                   for p in range(i + 1) for q in range(j + 1))
+
+    m = a11 + a10 + a01 + a00
+    return m, a11 + a10, a11 + a01, rising(m), raw
+
+
+def mixed_moment(alpha: AlphaBivariate, r: int, s: int) -> float:
+    """E[X**r * Y**s], correctly rounded.
+
+    The Dirichlet expansion is summed exactly in integers by the route
+    ``central_moment`` uses, and one integer division rounds it, so no
+    order overflows and none needs log space.
+    """
+    r = _check_count("r", r)
+    s = _check_count("s", s)
+    _, _, _, rm, raw = _exact_raw_moments(alpha, r + s)
+    return raw(r, s) / rm[r + s]
+
+
+def central_moment(alpha: AlphaBivariate, r: int, s: int) -> float:
+    """E[(X - EX)**r * (Y - EY)**s], correctly rounded.
+
+    The binomial expansion over raw moments cancels: at weights near 1000
+    the (4, 4) moment is about 1e-13 of the raw moments it is summed from.
+    So the expansion is summed exactly, over the integer raw moments of
+    ``_exact_raw_moments``.  With D the weights' common power of two, M the
+    integer total and n = r + s, every term is an integer over
+    M**n * M(M + D)...(M + (n-1)D), and the one division at the end rounds
+    once.
+    """
+    r = _check_count("r", r)
+    s = _check_count("s", s)
+    n = r + s
+    m, ax, ay, rm, raw = _exact_raw_moments(alpha, n)
     total = 0
     for i in range(r + 1):
         for j in range(s + 1):
-            # E[X**i * Y**j] is raw / rm[i + j]
-            raw = sum(math.comb(i, p) * math.comb(j, q) * r11[p + q] * r10[i - p] * r01[j - q]
-                      for p in range(i + 1) for q in range(j + 1))
             total += (math.comb(r, i) * math.comb(s, j) * (-ax) ** (r - i) * (-ay) ** (s - j)
-                      * m ** (i + j) * (rm[n] // rm[i + j]) * raw)
+                      * m ** (i + j) * (rm[n] // rm[i + j]) * raw(i, j))
     return total / (m ** n * rm[n])
 
 

@@ -292,24 +292,10 @@ def hyp2f1(a: float, b: float, c: float, z: float, *, tol: float = 1e-11) -> flo
                           t**(b-1) * (1-t)**(c-b-1) * (1-z*t)**(-a) dt.
 
     The default tolerance leaves the result accurate to about 1e-10 relative.
+    This is ``appell_f1(b, a, 0, c, z, 0)``: the same integral with no
+    second factor.
     """
-    a, b, c, z = float(a), float(b), float(c), float(z)
-    for name, v in (("a", a), ("b", b), ("c", c), ("z", z)):
-        if not math.isfinite(v):
-            raise DomainError(f"hyp2f1 argument {name} must be finite, got {v!r}")
-    if not (c > b > 0.0):
-        raise DomainError(f"hyp2f1 needs c > b > 0, got b={b!r}, c={c!r}")
-    if not z < 1.0:
-        raise DomainError(f"hyp2f1 integral form needs z < 1, got {z!r}")
-    if z == 0.0 or a == 0.0:
-        return 1.0
-
-    def smooth(t):
-        return np.power(1.0 - z * t, -a)
-
-    spec = IntegrandSpec(b - 1.0, c - b - 1.0, smooth)
-    q = integrate_unit(spec, tol=tol)
-    return math.exp(-ln_beta_multi((b, c - b))) * q.value
+    return appell_f1(b, a, 0.0, c, z, 0.0, tol=tol)
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float,

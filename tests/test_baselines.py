@@ -14,6 +14,21 @@ from bibeta.construction import RandomStream
 from bibeta.errors import DomainError
 
 
+# the open-square clip bounds, as float.hex
+_LO = "0x0.0000000000001p-1022"
+_HI = "0x1.fffffffffffffp-1"
+
+
+def _hex_rows(draws):
+    return [[v.hex() for v in row] for row in draws.tolist()]
+
+
+def _first_pass(shapes, n, seed):
+    """A sampler's first-pass gamma draws: one array per shape, in order."""
+    gen = RandomStream(seed).generator
+    return [gen.standard_gamma(a, size=n) for a in shapes]
+
+
 def quiet_dblquad(f, ax, bx, ay, by):
     import warnings
     with warnings.catch_warnings():
@@ -131,6 +146,27 @@ class TestLibbyNovickSampler:
         with pytest.raises(DomainError):
             sample_libby_novick(p, -5, RandomStream(0))
 
+    def test_seeded_rows_are_pinned(self):
+        p = LibbyNovickParams(2.0, 3.0, 4.0, 1.0, 1.5, 0.7)
+        assert _hex_rows(sample_libby_novick(p, 3, RandomStream(5))) == [
+            ["0x1.32b575f9b641dp-1", "0x1.bff6d5c962d2fp-1"],
+            ["0x1.35b52ed681017p-1", "0x1.92575c4df3435p-1"],
+            ["0x1.a23f8fcb31dcfp-3", "0x1.0340adc4d2bfep-1"],
+        ]
+
+    def test_redrawn_rows_are_pinned(self):
+        # with shapes 1e-3 most gammas underflow to 0; three first-pass
+        # pairs of this seed are 0/0 and are drawn again
+        p = LibbyNovickParams(1e-3, 1e-3, 1e-3)
+        g0, g1, g2 = _first_pass((p.a0, p.a1, p.a2), 6, 1)
+        with np.errstate(invalid="ignore"):
+            first = np.column_stack((g1 / (g1 + g0), g2 / (g2 + g0)))
+        assert not np.isfinite(first).all()
+        assert _hex_rows(sample_libby_novick(p, 6, RandomStream(1))) == [
+            [_HI, _HI], [_LO, _LO], [_LO, _HI], [_HI, _HI],
+            ["0x1.b8896fe36ede1p-180", "0x1.425d2a4282252p-88"], [_HI, _HI],
+        ]
+
 
 class TestArnoldSampler:
     def test_margins_are_beta(self):
@@ -165,3 +201,43 @@ class TestArnoldSampler:
             ArnoldParams(1.0, 1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             sample_arnold(ArnoldParams(1, 1, 1, 1, 1), 0, RandomStream(0))
+
+    def test_seeded_rows_are_pinned(self):
+        p = ArnoldParams(2.0, 1.0, 0.5, 1.5, 1.0)
+        assert _hex_rows(sample_arnold(p, 3, RandomStream(5))) == [
+            ["0x1.7018720de3b45p-2", "0x1.3151997f38e7fp-1"],
+            ["0x1.10c76f8cccc46p-1", "0x1.217a89325343ap-1"],
+            ["0x1.7c29099292d5ep-1", "0x1.b421bcc89a32ep-2"],
+        ]
+
+    def test_redrawn_rows_are_pinned(self):
+        # one first-pass pair of this seed has every gamma of a ratio at 0
+        p = ArnoldParams(1e-3, 1e-3, 1e-3, 1e-3, 1e-3)
+        g1, g2, g3, g4, g5 = _first_pass((p.a1, p.a2, p.a3, p.a4, p.a5), 6, 1)
+        with np.errstate(invalid="ignore"):
+            first = np.column_stack(((g1 + g3) / (g1 + g3 + g4 + g5),
+                                     (g2 + g4) / (g2 + g3 + g4 + g5)))
+        assert not np.isfinite(first).all()
+        assert _hex_rows(sample_arnold(p, 6, RandomStream(1))) == [
+            ["0x1.82ed43b631173p-178", "0x1.025e3c2a335abp-56"],
+            [_HI, _LO],
+            [_HI, "0x1.092d4d017aa84p-186"],
+            [_LO, "0x1.35b87146e7ae6p-421"],
+            ["0x1.c9973fdf20437p-150", "0x1.7f4a97d02a96cp-758"],
+            [_HI, _HI],
+        ]
+
+
+@pytest.mark.parametrize("sampler,params", [
+    (sample_libby_novick, LibbyNovickParams(2.0, 3.0, 4.0)),
+    (sample_arnold, ArnoldParams(2.0, 1.0, 0.5, 1.5, 1.0)),
+])
+class TestSampleCounts:
+    def test_numpy_integer_count_is_an_int(self, sampler, params):
+        got = sampler(params, np.int64(3), RandomStream(9))
+        assert np.array_equal(got, sampler(params, 3, RandomStream(9)))
+
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, np.int64(0), "3"])
+    def test_rejects_counts_that_are_not_positive_integers(self, sampler, params, n):
+        with pytest.raises(DomainError):
+            sampler(params, n, RandomStream(9))

@@ -121,7 +121,8 @@ class TestDataValidation:
         given = _in_layout(data, layout)
         before = np.array(given, copy=True)
         assert sample_central_moments(given) == sample_central_moments(data)
-        assert fitting._third_order_targets(given) == fitting._third_order_targets(data)
+        assert (fitting._data_moments(given, third=True)[1]
+                == fitting._data_moments(data, third=True)[1])
         assert fit_data(given) == fit_data(data)
         assert np.array_equal(np.asarray(given), before)
 
@@ -247,7 +248,7 @@ class TestFitData:
         dy = draws[:, 1] - draws[:, 1].mean()
         expected = (np.mean(dx ** 3), np.mean(dy ** 3),
                     np.mean(dx * dx * dy), np.mean(dx * dy * dy))
-        got = fitting._third_order_targets(draws)
+        got = fitting._data_moments(draws, third=True)[1]
         assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("n", [3, 8, 129, fitting._SUM_LEAF, fitting._SUM_LEAF + 1,
@@ -259,7 +260,7 @@ class TestFitData:
         m = sample_central_moments(draws)
         assert m.as_tuple() == (x.mean(), y.mean(), np.mean(dx * dx), np.mean(dy * dy),
                                 np.mean(dx * dy))
-        assert fitting._third_order_targets(draws) == (
+        assert fitting._data_moments(draws, third=True)[1] == (
             np.mean(dx * dx * dx), np.mean(dy * dy * dy),
             np.mean(dx * dx * dy), np.mean(dx * dy * dy))
 
@@ -342,7 +343,7 @@ class TestFitOptions:
 
 
 def _nine_residual_objective(alpha, data):
-    targets = fitting._third_order_targets(data)
+    targets = fitting._data_moments(data, third=True)[1]
     return objective(alpha, sample_central_moments(data)) + sum(
         (central_moment(alpha, r, s) - t) ** 2
         for (r, s), t in zip(((3, 0), (0, 3), (2, 1), (1, 2)), targets))

@@ -22,13 +22,13 @@ REFERENCE_ALPHA = AlphaBivariate(4.7, 3.5, 2.1, 3.7)
 ONES = AlphaBivariate(1, 1, 1, 1)
 
 
-def exact_mixed_moment(alpha_ints, r, s):
+def exact_mixed_moment(weights, r, s):
     """E[X^r Y^s] by binomial expansion over exact Dirichlet moments.
 
-    Requires integer weights so everything stays in Fraction arithmetic:
+    Fraction(float) is exact, so any float weights stay in exact arithmetic:
     E[prod U_k^{n_k}] = prod rising(a_k, n_k) / rising(M, sum n_k).
     """
-    a11, a10, a01, a00 = (Fraction(a) for a in alpha_ints)
+    a11, a10, a01, a00 = (Fraction(a) for a in weights)
     total = a11 + a10 + a01 + a00
 
     def rising(a, n):
@@ -138,11 +138,25 @@ class TestMixedMoment:
 
     @pytest.mark.parametrize("r,s", [(2, 1), (3, 3), (4, 4), (5, 4), (6, 5), (8, 8)])
     def test_against_exact_rational_oracle(self, r, s):
-        # (5,4) and up exercise the log-space path for high total order
         alpha_ints = (1, 2, 3, 4)
         expected = float(exact_mixed_moment(alpha_ints, r, s))
-        got = mixed_moment(AlphaBivariate(*alpha_ints), r, s)
-        assert got == pytest.approx(expected, rel=1e-11)
+        assert mixed_moment(AlphaBivariate(*alpha_ints), r, s) == expected
+
+    # integer, non-integer and widely spread weights; summed in floats, the
+    # (1e-3, 2, 0.3, 1e4) moments to order 16 were up to 2.1e-11 relative off
+    @pytest.mark.parametrize("weights", [
+        (1.0, 2.0, 3.0, 4.0),
+        (4.7, 3.5, 2.1, 3.7),
+        (0.37, 0.011, 7.3, 2.9),
+        (1e-3, 2.0, 0.3, 1e4),
+        (1e4, 1e-3, 1e-3, 1e4),
+    ])
+    def test_is_the_correctly_rounded_rational_oracle(self, weights):
+        alpha = AlphaBivariate(*weights)
+        for order in range(17):
+            for r in range(order + 1):
+                expected = float(exact_mixed_moment(weights, r, order - r))
+                assert mixed_moment(alpha, r, order - r) == expected, (r, order - r)
 
     def test_rejects_bad_orders(self):
         with pytest.raises(DomainError):
@@ -151,6 +165,12 @@ class TestMixedMoment:
             mixed_moment(ONES, 0.5, 1)
         with pytest.raises(DomainError):
             mixed_moment(ONES, True, 1)
+        with pytest.raises(DomainError):
+            mixed_moment(ONES, 1, np.int64(-2))
+
+    def test_numpy_integer_orders(self):
+        assert (mixed_moment(REFERENCE_ALPHA, np.int64(2), np.int32(1))
+                == mixed_moment(REFERENCE_ALPHA, 2, 1))
 
     def test_monte_carlo_agreement(self):
         a = AlphaBivariate(2.5, 1.2, 0.8, 3.0)
@@ -195,6 +215,15 @@ class TestCentralMoment:
                 ref = central_moment_mpmath(weights, r, order - r)
                 assert central_moment(alpha, r, order - r) == pytest.approx(ref, rel=1e-14,
                                                                             abs=0.0)
+
+    def test_rejects_bad_orders(self):
+        for r, s in [(-1, 0), (0.5, 1), (True, 1), (1, np.int64(-2))]:
+            with pytest.raises(DomainError):
+                central_moment(ONES, r, s)
+
+    def test_numpy_integer_orders(self):
+        assert (central_moment(REFERENCE_ALPHA, np.int64(2), np.int32(1))
+                == central_moment(REFERENCE_ALPHA, 2, 1))
 
     def test_monte_carlo_agreement(self):
         a = AlphaBivariate(2.5, 1.2, 0.8, 3.0)

@@ -217,6 +217,20 @@ class TestHyp2F1:
         assert hyp2f1(1.3, 0.7, 2.2, 0.4) == pytest.approx(
             hyp2f1(0.7, 1.3, 2.2, 0.4), rel=1e-9)
 
+    # float.hex pins of the Euler-integral values: far out on the negative
+    # axis, near the branch point z = 1, and the two early returns
+    @pytest.mark.parametrize("abcz,pin", [
+        ((0.3, 1.2, 2.5, -3.0), "0x1.91288192565fap-1"),
+        ((2.5, 0.4, 1.1, -40.0), "0x1.0eee3eb5282b2p-3"),
+        ((0.5, 0.7, 2.2, 1.0 - 1e-9), "0x1.5e4610fb1fccdp+0"),
+        ((-0.6, 1.3, 2.1, 0.999999), "0x1.085968b6ce882p-1"),
+        ((1.5, 0.7, 2.2, 0.999), "0x1.a9a7d51caec8bp+2"),
+        ((0.7, 1.3, 2.0, 0.0), "0x1.0000000000000p+0"),
+        ((0.0, 1.3, 2.0, 0.5), "0x1.0000000000000p+0"),
+    ])
+    def test_values_are_pinned(self, abcz, pin):
+        assert hyp2f1(*abcz).hex() == pin
+
     def test_rejects_outside_domain(self):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 2.0, 1.5, 0.3)     # c <= b
