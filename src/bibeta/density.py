@@ -32,7 +32,10 @@ compensated residual, so the test is exact even where x + y rounds).
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
+import types
 from typing import NamedTuple
 
 import numpy as np
@@ -158,61 +161,85 @@ class DensityValue:
                 f"evaluations={self.evaluations!r})")
 
 
-def _require_inside(x: float, y: float, tol: float) -> Region:
+def _require_inside(x: float, y: float, tol: float) -> None:
     # tol first, so a bad one fails at every point, cut lines included
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    region = classify_region(x, y)
-    if region is Region.OUT_OF_DOMAIN:
+    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError(f"point ({x!r}, {y!r}) lies outside the open unit square")
-    return region
 
 
-def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.ndarray,
-                   tol: float):
-    """Density at points that share one sign pattern of (d, x - y), with
-    d = x + y - 1 from ``_sum_minus_one``: the share-range integral,
+class _Integrand(NamedTuple):
+    """The parts of one weight set's integrand that a sign pattern of
+    (x + y - 1, x - y) fixes, whatever the point."""
+
+    p: float                 # endpoint exponents of the rescaled integral
+    q: float
+    share_exp: float | None  # exponent of u or 1-x-y+u, unless it vanishes at t = 0
+    gap_exp: float | None    # exponent of x-u or y-u, unless it vanishes at t = 1
+    ln_beta: float           # ln B(a11, a10, a01, a00)
+
+
+@functools.lru_cache(maxsize=256)
+def _integrands(alpha: AlphaBivariate) -> types.MappingProxyType:
+    """Read-only ``_Integrand`` of every sign pattern, keyed by
+    ``(sign(x + y - 1), sign(x - y))``, or None where the integral
+    diverges."""
+    ln_beta = ln_beta_multi((alpha.a11, alpha.a10, alpha.a01, alpha.a00))
+    out = {}
+    for d0, s0 in itertools.product((-1.0, 0.0, 1.0), repeat=2):
+        # which factors vanish at the ends: u or 1-x-y+u at t = 0, x-u or
+        # y-u at 1; those move into the endpoint exponents
+        sing_share, sing_comp = d0 <= 0.0, d0 >= 0.0
+        sing_x, sing_y = s0 <= 0.0, s0 >= 0.0
+        p = (alpha.a11 - 1.0 if sing_share else 0.0) + (alpha.a00 - 1.0 if sing_comp else 0.0)
+        q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
+        if p <= -1.0 or q <= -1.0:
+            out[d0, s0] = None
+            continue
+        share = None if d0 == 0.0 else alpha.a11 - 1.0 if d0 > 0.0 else alpha.a00 - 1.0
+        gap = None if s0 == 0.0 else alpha.a10 - 1.0 if s0 > 0.0 else alpha.a01 - 1.0
+        out[d0, s0] = _Integrand(p, q, share, gap, ln_beta)
+    return types.MappingProxyType(out)
+
+
+def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
+    """Density at points that share the sign pattern ``signs`` of (d, x - y),
+    with d = x + y - 1 from ``_sum_minus_one``: the share-range integral,
     rescaled to (0, 1), from ``integrate_unit_batch``, times its prefactor.
 
-    Every factor that vanishes at an endpoint moves into the endpoint
-    exponents, which the pattern fixes; the rest stays in the smooth part.
-    Returns per-point ``(value, error_estimate, converged, evaluations)``
-    and whether the integral diverges for the whole pattern; a divergent
-    pattern reads ``(inf, 0, True, 0)`` without integrating.  A convergent
-    integral whose density overflows also reads ``inf``.
+    ``x``, ``y`` and ``d`` are 1-D arrays, or floats for a batch of one, which
+    then steps through the kernel on scalars.  Every factor that vanishes at
+    an endpoint moves into the endpoint exponents, which the pattern fixes;
+    the rest stays in the smooth part.  The exponents and ln B(alpha) are
+    formed once per weight set (``_integrands``).  Returns per-point
+    ``(value, error_estimate, converged, evaluations)`` arrays and whether
+    the integral diverges for the whole pattern; a divergent pattern reads
+    ``(inf, 0, True, 0)`` without integrating.  A convergent integral whose
+    density overflows also reads ``inf``.
     """
-    d0, s0 = d[0], x[0] - y[0]
-    # the share range runs from max(0, d) up to min(x, y)
-    scale = 1.0 - np.maximum(x, y) if d0 > 0.0 else np.minimum(x, y)
-
-    # which factors vanish at the ends: u or 1-x-y+u at t = 0, x-u or y-u at 1
-    sing_share, sing_comp = d0 <= 0.0, d0 >= 0.0
-    sing_x, sing_y = s0 <= 0.0, s0 >= 0.0
-
-    p = (alpha.a11 - 1.0 if sing_share else 0.0) + (alpha.a00 - 1.0 if sing_comp else 0.0)
-    q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
-    n = x.size
-    if p <= -1.0 or q <= -1.0:
+    columns = isinstance(x, np.ndarray)
+    n = x.size if columns else 1
+    integrand = _integrands(alpha)[signs]
+    if integrand is None:
         return (np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool),
                 np.zeros(n, dtype=np.int64), True)
+    # the share range runs from max(0, d) up to min(x, y)
+    scale = 1.0 - np.maximum(x, y) if signs[0] > 0.0 else np.minimum(x, y)
 
     # (base, slope, exponent, from_right): base + slope*t, or from the top
     # |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its digits
     # where both are subnormal (|d| never is); columns against the node row,
-    # or scalars for a batch of one, whose level sums then stay 1-D
-    col = (lambda v: v[:, None]) if n > 1 else (lambda v: v[0])
-    scale_col = col(scale)
+    # or scalars for a batch of one, whose level sums then stay scalars
+    col = (lambda v: v[:, None]) if columns else (lambda v: v)
     terms, ln_unit = [], 0.0
-    if not sing_share:
-        terms.append((col(d), scale_col, alpha.a11 - 1.0, False))          # u
-    if not sing_comp:
-        terms.append((col(-d), scale_col, alpha.a00 - 1.0, False))         # 1-x-y+u
-    if s0 != 0.0:
-        gap = np.abs(x - y)
+    if integrand.share_exp is not None:
+        terms.append((col(abs(d)), col(scale), integrand.share_exp, False))
+    if integrand.gap_exp is not None:
+        gap = abs(x - y)
         unit = np.maximum(gap, scale)
-        e = alpha.a10 - 1.0 if s0 > 0.0 else alpha.a01 - 1.0             # x-u, y-u
-        terms.append((col(gap / unit), col(scale / unit), e, True))
-        ln_unit = e * np.log(unit)
+        terms.append((col(gap / unit), col(scale / unit), integrand.gap_exp, True))
+        ln_unit = integrand.gap_exp * np.log(unit)
 
     def smooth(t, one_minus_t, rows):
         # no re-indexing while every row is active
@@ -225,9 +252,9 @@ def _density_batch(alpha: AlphaBivariate, x: np.ndarray, y: np.ndarray, d: np.nd
             out = f if out is None else out * f
         return 1.0 if out is None else out
 
+    p, q = integrand.p, integrand.q
     batch = integrate_unit_batch(p, q, smooth, n, tol)
-    ln_pref = (1.0 + p + q) * np.log(scale) + ln_unit - ln_beta_multi(
-        (alpha.a11, alpha.a10, alpha.a01, alpha.a00))
+    ln_pref = (1.0 + p + q) * np.log(scale) + ln_unit - integrand.ln_beta
     # in logs: a prefactor past the float range meets its integral first, and
     # a density that still overflows reads inf, not inf * 0 = nan in its error
     with np.errstate(divide="ignore", over="ignore"):
@@ -248,8 +275,9 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
     """
     x, y = float(x), float(y)
     _require_inside(x, y, tol)
+    d = _sum_minus_one(x, y)
     value, error, converged, evaluations, diverged = _density_batch(
-        alpha, np.array([x]), np.array([y]), np.array([_sum_minus_one(x, y)]), tol)
+        alpha, (np.sign(d), np.sign(x - y)), x, y, d, tol)
     result = DensityValue._quadrature(value[0], error[0], diverged, evaluations[0])
     if not converged[0]:
         raise ConvergenceError(f"density at ({x!r}, {y!r}) did not reach tol={tol:g}",
@@ -355,7 +383,8 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
     2F1 on the cut lines runs one decade tighter.
     """
     x, y = float(x), float(y)
-    region = _require_inside(x, y, tol)
+    _require_inside(x, y, tol)
+    region = classify_region(x, y)
     d = _sum_minus_one(x, y)
 
     if region is Region.ABP:
@@ -417,12 +446,15 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
     error = np.empty(x.size)
     diverged = np.zeros(x.size, dtype=bool)
     evaluations = np.empty(x.size, dtype=np.int64)
-    pattern = 3 * np.sign(d) + np.sign(x - y)
+    d_sign, s_sign = np.sign(d), np.sign(x - y)
+    pattern = 3 * d_sign + s_sign
     for key in np.unique(pattern):
         points = np.flatnonzero(pattern == key)
+        signs = d_sign[points[0]], s_sign[points[0]]
         for start in range(0, points.size, _CHUNK):
             rows = points[start:start + _CHUNK]
-            v, e, converged, n, div = _density_batch(alpha, x[rows], y[rows], d[rows], tol)
+            v, e, converged, n, div = _density_batch(alpha, signs, x[rows], y[rows],
+                                                     d[rows], tol)
             if not converged.all():
                 i = rows[np.argmin(converged)]
                 raise ConvergenceError(f"density at ({float(x[i])!r}, {float(y[i])!r}) "

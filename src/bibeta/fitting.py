@@ -231,8 +231,10 @@ def minimize(residuals, x0, *, jacobian, maxiter: int, ftol: float) -> LeastSqua
     clipped to ``+-_MAX_STEP`` and each trial point to ``+-_LOG_CLIP``.
 
     The solve ends with ``success`` once an accepted step lowers the
-    objective by at most ``ftol`` relative, or once no step damped up to
-    ``lam = 1e16`` lowers it; otherwise after ``maxiter`` iterations.
+    objective by at most ``ftol`` relative, once a damped trial point rounds
+    to ``x`` itself (without evaluating the residuals there), or once no step
+    damped up to ``lam = 1e16`` lowers it; otherwise after ``maxiter``
+    iterations.
     """
     x = np.clip(np.asarray(x0, dtype=float), -_LOG_CLIP, _LOG_CLIP)
     r = residuals(x)
@@ -250,6 +252,10 @@ def minimize(residuals, x0, *, jacobian, maxiter: int, ftol: float) -> LeastSqua
                 return LeastSquaresResult(x, fun, nit, nfev, True)
             step = np.linalg.solve(jtj + np.diag(lam * diag), -grad)
             trial = np.clip(x + np.clip(step, -_MAX_STEP, _MAX_STEP), -_LOG_CLIP, _LOG_CLIP)
+            if np.array_equal(trial, x):
+                # the damped step no longer moves x, and more damping would
+                # only shrink it further
+                return LeastSquaresResult(x, fun, nit, nfev, True)
             r_trial = residuals(trial)
             nfev += 1
             fun_trial = float(r_trial @ r_trial)

@@ -18,7 +18,11 @@ cache of at most 256 read-only entries, each filled only when a call first
 reaches its levels.  Every row runs levels 0-2 before the stopping rule may
 end it, so those three levels form one entry: their nodes go through the
 smooth factor in one call, and the three level sums are taken by slices.
-Each later level is an entry of its own.  The nodes, the sums and the
+Each later level is an entry of its own.  An entry also holds the indices of
+the nodes whose weight underflows to 0; those nodes add nothing, whatever the
+smooth factor is there.  Where ``smooth`` gives every row the same factors,
+as in a batch of one, the level sums, the estimates and the stopping test
+are numpy scalars, not arrays of one element.  The nodes, the sums and the
 stopping rule are those of a level-by-level sweep, so the results equal that
 sweep's bit for bit.
 
@@ -142,9 +146,10 @@ def _node_table(level: int, k_left: int, k_right: int):
 
 @functools.lru_cache(maxsize=256)
 def _weighted_nodes(levels: tuple, p1: float, q1: float, budget: int):
-    """Read-only ``(t, 1-t, weight, ends)`` over the nodes that ``levels``
-    add, concatenated in that order, with ``weight = exp(p1*log t +
-    q1*log(1-t) + log(pi cosh u))``; the nodes of ``levels[i]`` end at offset
+    """Read-only ``(t, 1-t, weight, zeros, ends)`` over the nodes that
+    ``levels`` add, concatenated in that order, with ``weight = exp(p1*log t
+    + q1*log(1-t) + log(pi cosh u))``; ``zeros`` holds the indices where that
+    weight underflows to 0, and the nodes of ``levels[i]`` end at offset
     ``ends[i]``.  Filled only for the levels a call reaches."""
     parts = []
     for level in levels:
@@ -156,20 +161,24 @@ def _weighted_nodes(levels: tuple, p1: float, q1: float, budget: int):
         t, one_minus_t, w = parts[0]
     else:
         t, one_minus_t, w = (np.concatenate(a) for a in zip(*parts))
-    for a in (t, one_minus_t, w):
+    zeros = np.flatnonzero(w == 0.0)
+    for a in (t, one_minus_t, w, zeros):
         a.flags.writeable = False
     ends = tuple(itertools.accumulate(part[0].size for part in parts))
-    return t, one_minus_t, w, ends
+    return t, one_minus_t, w, zeros, ends
 
 
 def _level_sums(levels, p1, q1, smooth, rows, budget):
     """Sums of weight times smooth factor over the nodes each of ``levels``
     adds, one entry per row in ``rows`` (or one for all of them), from one
     ``smooth`` call; and the number of those nodes."""
-    t, one_minus_t, w, ends = _weighted_nodes(levels, p1, q1, budget)
-    sm = np.asarray(smooth(t, one_minus_t, rows), dtype=float)
-    vals = np.where(w > 0.0, w * sm, 0.0)
-    if not np.isfinite(vals).all():
+    t, one_minus_t, w, zeros, ends = _weighted_nodes(levels, p1, q1, budget)
+    vals = w * np.asarray(smooth(t, one_minus_t, rows), dtype=float)
+    if zeros.size:
+        # a node whose weight underflowed adds nothing, even where the smooth
+        # factor is inf or nan there
+        vals[..., zeros] = 0.0
+    if np.count_nonzero(np.isfinite(vals)) != vals.size:
         raise DomainError("integrand is not finite at interior nodes; "
                           "declare endpoint singularities via the exponents")
     starts = (0,) + ends[:-1]
@@ -216,13 +225,15 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
 
     # every row runs levels 0-2, so their nodes go through one smooth call;
     # level 0 runs even when max_levels < 1, and its estimate is returned;
-    # v, e: estimate and last inter-level difference of the rows in `active`
+    # v, e: estimate and last inter-level difference of the rows in `active`,
+    # shaped like the level sums, so scalars where ``smooth`` gives every row
+    # the same factors (a batch of one among them)
     first = tuple(range(max(1, min(3, max_levels))))
     active = np.arange(n_rows)
+    floor = tol * 1e-280
     with np.errstate(invalid="ignore", over="ignore"):
         sums, spent = _level_sums(first, p1, q1, smooth, active, max_nodes_per_level)
-        v = np.zeros(n_rows) + sums[0]       # h = 1 at level 0
-        e = np.full(n_rows, math.inf)
+        v, e = sums[0], math.inf            # h = 1 at level 0
         for level in range(1, max_levels):
             if level < len(first):
                 new_sum = sums[level]
@@ -231,13 +242,15 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
                                             max_nodes_per_level)
                 spent += n
             new = v / 2.0 + 2.0 ** -level * new_sum
-            e = np.abs(new - v)
+            e = abs(new - v)
             v = new
             if level < 2:
                 continue
-            done = e <= tol * np.maximum(np.abs(v), 1e-280)
+            # e <= tol * max(|v|, 1e-280) as two comparisons, which numpy
+            # scalars make without a ufunc call (a NaN v has a NaN e)
+            done = (e <= tol * abs(v)) | (e <= floor)
             stopping = np.count_nonzero(done)
-            if stopping == active.size:
+            if stopping == done.size:
                 converged[active] = True
                 break
             if stopping:

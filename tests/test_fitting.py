@@ -302,6 +302,44 @@ class TestFitReport:
         assert (res.nit, res.nfev) == (runs[0].nit, runs[0].nfev)
         assert 1 <= res.nit < res.nfev
 
+    # alpha_star and objective as float.hex, both unchanged from the solver
+    # that raised lam up to its cap before stopping; nfev was 28, 26, 26 and
+    # 30 there
+    @pytest.mark.parametrize("weights,n,seed,third,alpha,fun,nit,nfev", [
+        ((2.0, 3.0, 4.0, 5.0), 50, 1, True,
+         ("0x1.051ed40a552ddp+1", "0x1.de77081a5d6f0p+1", "0x1.2f5f1a5876682p+2",
+          "0x1.88ea83bbdb5ccp+2"), "0x1.4277d9e1bca95p-20", 5, 17),
+        ((0.5, 0.7, 0.8, 0.6), 200, 3, True,
+         ("0x1.b7ced62839051p-2", "0x1.8a3069a2d7ac0p-1", "0x1.b8d467f83360cp-1",
+          "0x1.329ae8676c9f0p-1"), "0x1.bfe7f5fdb68c1p-17", 4, 18),
+        ((0.4, 0.3, 0.4, 0.5), 5000, 7, False,
+         ("0x1.9b00fcf98da1bp-2", "0x1.29e311e786829p-2", "0x1.9c2f47eae2f1fp-2",
+          "0x1.fc6d415d14ccep-2"), "0x1.26b41b91934e8p-24", 4, 14),
+        ((2.0, 3.0, 4.0, 5.0), 10 ** 6, 101, True,
+         ("0x1.004135f96b0e2p+1", "0x1.8060aeb43551dp+1", "0x1.0025b677f00b6p+2",
+          "0x1.407b60196944fp+2"), "0x1.a7a110d2c2c9fp-33", 6, 15),
+    ])
+    def test_solve_stops_once_the_damped_step_rounds_to_x(self, monkeypatch, weights, n, seed,
+                                                           third, alpha, fun, nit, nfev):
+        evaluated = []
+
+        def recorded(residuals, x0, **kwargs):
+            def counted(x):
+                evaluated.append(x.copy())
+                return residuals(x)
+            return fitting_minimize(counted, x0, **kwargs)
+
+        fitting_minimize = fitting.minimize
+        monkeypatch.setattr(fitting, "minimize", recorded)
+        data = sample_bivariate(AlphaBivariate(*weights), n, RandomStream(seed))
+        res = fit_data(data, match_third_order=third)
+        a = res.alpha_star
+        assert [v.hex() for v in (a.a11, a.a10, a.a01, a.a00)] == list(alpha)
+        assert res.objective_value.hex() == fun
+        assert res.converged
+        assert (res.nit, res.nfev) == (nit, nfev)
+        assert 1 <= res.nit < res.nfev == len(evaluated)
+
     def test_bound_rescale_is_reported(self):
         exact = moment_vector(REFERENCE_ALPHA)
         res = fit_moments(exact)

@@ -129,6 +129,29 @@ class TestIntegrateUnitBatch:
             integrate_unit_batch(0.0, 0.0,
                                  lambda t, one_minus_t, rows: np.where(t > 0.5, np.inf, 1.0), 2)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nodes_whose_weight_underflows_add_nothing(self, bad):
+        from bibeta.special import _weighted_nodes
+        # with p = 1 every node below t = 1e-165 has a weight that underflows
+        # to 0, and the levels 0-2 reach one; a factor that is inf or nan
+        # there adds nothing (values pinned as float.hex)
+        t, _, w, zeros, _ = _weighted_nodes((0, 1, 2), 2.0, 1.0, 2 ** 14)
+        assert zeros.size and np.all(t[zeros] < 1e-165) and np.all(w[t < 1e-165] == 0.0)
+        batch = integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows:
+                                     np.where(t < 1e-165, bad, 1.0 / (1.0 + t)), 1)
+        assert batch.value[0] == float.fromhex("0x1.3a37a020b8c22p-2")     # 1 - ln 2
+        assert (batch.evaluations[0], batch.converged[0]) == (94, True)
+        rates = np.array([0.0, 1.0, 3.0])
+        batch = integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows: np.where(
+            t < 1e-165, bad, np.exp(-rates[rows][:, None] * t)), rates.size)
+        assert batch.value.tolist() == [float.fromhex(v) for v in (
+            "0x1.0000000000001p-1", "0x1.0e95393a62190p-2", "0x1.6c79fd27cbc4cp-4")]
+        assert batch.evaluations.tolist() == [94, 94, 188]
+        # the same factor where the weight is still positive is an error
+        with pytest.raises(DomainError):
+            integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows:
+                                 np.where(t < 1e-100, bad, 1.0), 1)
+
     def test_rejects_bad_exponents(self):
         with pytest.raises(DomainError):
             integrate_unit_batch(-1.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
@@ -182,8 +205,9 @@ class TestIntegrateUnitBatch:
         fused = _weighted_nodes((0, 1, 2), 1.0, 1.0, 2 ** 14)
         assert fused is _weighted_nodes((0, 1, 2), 1.0, 1.0, 2 ** 14)
         assert _weighted_nodes.cache_info().currsize == 2
-        t, _, w, ends = fused
+        t, _, w, zeros, ends = fused
         assert not any(a.flags.writeable for a in fused[:3])
+        assert not zeros.flags.writeable
         assert ends[-1] == t.size == w.size == batch.evaluations[0] - _weighted_nodes(
             (3,), 1.0, 1.0, 2 ** 14)[0].size
         assert _weighted_nodes.cache_info().maxsize is not None
