@@ -44,8 +44,8 @@ _LOG_CLIP = 40.0
 # model in log weights can send a small weight to the clip in one step, where
 # its Jacobian column vanishes and it cannot grow back when it later should
 _MAX_STEP = 2.0
-# longest run of the data's centred products formed at once: two such
-# buffers stay in a core's cache
+# longest run of the data held at once, as two columns and their three or
+# seven products: on a 2-vCPU x86_64 host 2**15 was no faster, 2**16 slower
 _SUM_LEAF = 1 << 14
 
 
@@ -90,78 +90,107 @@ class FitResult:
     bound_rescaled: bool = False
 
 
-def _product_sums(dx: np.ndarray, dy: np.ndarray, start: int, stop: int,
-                  buf: np.ndarray, third: bool) -> np.ndarray:
-    """Sums over [start, stop) of the products of the centred columns, in
-    the order x*x, x*x*x, x*x*y, y*y, y*y*y, x*y, x*y*y; the three-factor
-    products only with ``third``.
+def _tree_sums(leaf, start: int, stop: int) -> np.ndarray:
+    """The sums ``leaf(a, b)`` returns for the leaves of [start, stop),
+    added back up numpy's pairwise tree.
 
-    numpy sums a contiguous column pairwise, halving it (rounded down to a
+    numpy sums a contiguous run pairwise, halving it (rounded down to a
     multiple of 8) until a piece is short.  Splitting the same way down to
-    ``_SUM_LEAF`` entries, with each leaf's products formed in the two
-    cache-sized rows of ``buf``, gives the sums of whole product columns bit
-    for bit without writing any.  Products, not ``**``, which calls pow per
-    element.
+    ``_SUM_LEAF`` entries, and adding each leaf's own pairwise sum back up
+    the same tree, gives the sum of the whole run bit for bit.
     """
     n = stop - start
     if n > _SUM_LEAF:
         half = n // 2
         half -= half % 8
-        return (_product_sums(dx, dy, start, start + half, buf, third)
-                + _product_sums(dx, dy, start + half, stop, buf, third))
-    x, y, pair, prod = dx[start:stop], dy[start:stop], buf[0, :n], buf[1, :n]
-    sums = []
-    for u, v, factors in ((x, x, (x, y)), (y, y, (y,)), (x, y, (y,))):
-        np.multiply(u, v, out=pair)
-        sums.append(pair.sum())
-        if third:
-            sums.extend(np.multiply(pair, w, out=prod).sum() for w in factors)
-    return np.array(sums)
+        return _tree_sums(leaf, start, start + half) + _tree_sums(leaf, start + half, stop)
+    return leaf(start, stop)
+
+
+def _real_pairs(data) -> np.ndarray:
+    """``data`` as a float array; ragged, non-numeric or complex data is a
+    ``DomainError``."""
+    message = "data must be an (n, 2) array of real numbers"
+    try:
+        arr = np.asarray(data)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(message) from exc
+    raise DomainError(message)
 
 
 def _data_moments(data, third: bool) -> tuple:
     """The sample ``MomentVector`` of (n, 2) data and, with ``third``, the
     third central moments (m30, m03, m21, m12), else None.
 
-    One centred pass: the validated columns are copied out contiguous once,
-    each mean is numpy's pairwise sum over its column, and every central
-    moment is a pairwise mean of products of the columns centred on those
-    means.
+    Two passes over the leaves of the columns' pairwise-sum tree, each leaf
+    held in cache-sized contiguous buffers and no column copied out whole.
+    The first copies each leaf's two columns into rows of one buffer,
+    checks its range and sums it, so each mean is numpy's pairwise sum over
+    its column.  The second centres each leaf on those means and forms its
+    products x*x, x*y, y*y, and with ``third`` x*x*x, x*x*y, x*y*y, y*y*y,
+    in the rows of a second buffer, so every central moment is the pairwise
+    mean of a whole product column.  Products, not ``**``, which calls pow
+    per element.  Only contiguous rows are summed: a strided view's sum
+    follows another order.
     """
-    arr = np.asarray(data, dtype=float)
+    arr = _real_pairs(data)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError(f"data must be an (n, 2) array of pairs, got shape {arr.shape}")
     n = arr.shape[0]
     if n < 3:
         raise DegenerateDataError(f"need at least 3 points, got {n}")
-    dx, dy = arr[:, 0].copy(), arr[:, 1].copy()
-    lo_x, hi_x, lo_y, hi_y = dx.min(), dx.max(), dy.min(), dy.max()
-    # NaN fails every comparison, so it lands here with the out-of-range points
-    if not (lo_x > 0.0 and lo_y > 0.0 and hi_x < 1.0 and hi_y < 1.0):
-        raise DomainError("data points must lie strictly inside the unit square")
-    if lo_x == hi_x or lo_y == hi_y:
+    rows = 7 if third else 3
+    pair_buf = np.empty(2 * min(n, _SUM_LEAF))
+    prod_buf = np.empty(rows * min(n, _SUM_LEAF))
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+
+    def column_sums(a: int, b: int) -> np.ndarray:
+        cols = pair_buf[:2 * (b - a)].reshape(2, b - a)
+        np.copyto(cols, arr[a:b].T)
+        leaf_lo, leaf_hi = cols.min(axis=1), cols.max(axis=1)
+        # NaN fails every comparison, so it lands here with the out-of-range points
+        if not (leaf_lo[0] > 0.0 and leaf_lo[1] > 0.0 and leaf_hi[0] < 1.0 and leaf_hi[1] < 1.0):
+            raise DomainError("data points must lie strictly inside the unit square")
+        np.minimum(lo, leaf_lo, out=lo)
+        np.maximum(hi, leaf_hi, out=hi)
+        return cols.sum(axis=1)
+
+    def product_sums(a: int, b: int) -> np.ndarray:
+        d = pair_buf[:2 * (b - a)].reshape(2, b - a)
+        np.subtract(arr[a:b].T, mean[:, None], out=d)
+        prods = prod_buf[:rows * (b - a)].reshape(rows, b - a)
+        np.multiply(d[0], d, out=prods[0:2])
+        np.multiply(d[1], d[1], out=prods[2])
+        if third:
+            np.multiply(prods[0], d, out=prods[3:5])
+            np.multiply(prods[1:3], d[1], out=prods[5:7])
+        return prods.sum(axis=1)
+
+    mean = _tree_sums(column_sums, 0, n) / n
+    if lo[0] == hi[0] or lo[1] == hi[1]:
         raise DegenerateDataError("constant coordinate: sample variance is zero")
-    mean_x, mean_y = dx.mean(), dy.mean()
-    dx -= mean_x
-    dy -= mean_y
-    sums = _product_sums(dx, dy, 0, n, np.empty((2, min(n, _SUM_LEAF))), third) / n
-    if third:
-        m20, m30, m21, m02, m03, m11, m12 = (float(v) for v in sums)
-    else:
-        m20, m02, m11 = (float(v) for v in sums)
+    sums = _tree_sums(product_sums, 0, n) / n
+    m20, m11, m02 = (float(v) for v in sums[:3])
     if m20 == 0.0 or m02 == 0.0:
         raise DegenerateDataError("zero sample variance in at least one coordinate")
-    m = MomentVector(m10=float(mean_x), m01=float(mean_y), m20=m20, m02=m02, m11=m11)
-    return m, ((m30, m03, m21, m12) if third else None)
+    m = MomentVector(m10=float(mean[0]), m01=float(mean[1]), m20=m20, m02=m02, m11=m11)
+    if not third:
+        return m, None
+    m30, m21, m12, m03 = (float(v) for v in sums[3:])
+    return m, (m30, m03, m21, m12)
 
 
 def sample_central_moments(data) -> MomentVector:
     """Sample means, variances and covariance, all with divisor N.
 
-    Needs at least three points strictly inside the unit square, and
-    nonzero variation in both coordinates.  Each mean is a pairwise sum
-    over its column, and the variances and the covariance are pairwise
-    means of products of the columns centred on those means.
+    Needs an (n, 2) array of real numbers with at least three points
+    strictly inside the unit square, and nonzero variation in both
+    coordinates.  Each mean is numpy's pairwise sum over its column, and
+    the variances and the covariance are pairwise means of products of the
+    columns centred on those means, bit for bit, though the pass runs leaf
+    by leaf through the pairwise tree and copies no column out whole.
     ``fit_data``'s third-order targets share that one centring.
     """
     return _data_moments(data, third=False)[0]
@@ -230,6 +259,10 @@ def minimize(residuals, x0, *, jacobian, maxiter: int, ftol: float) -> LeastSqua
     retried; an accepted one divides it by ten.  Each step component is
     clipped to ``+-_MAX_STEP`` and each trial point to ``+-_LOG_CLIP``.
 
+    A trial equal to the last rejected one is rejected again without
+    evaluating the residuals there: the objective only falls between the
+    two, so the repeat cannot lower it.
+
     The solve ends with ``success`` once an accepted step lowers the
     objective by at most ``ftol`` relative, once a damped trial point rounds
     to ``x`` itself (without evaluating the residuals there), or once no step
@@ -241,6 +274,7 @@ def minimize(residuals, x0, *, jacobian, maxiter: int, ftol: float) -> LeastSqua
     fun = float(r @ r)
     nfev = 1
     lam = 1e-3
+    rejected = None
     for nit in range(1, maxiter + 1):
         jac = jacobian(x)
         jtj = jac.T @ jac
@@ -256,11 +290,13 @@ def minimize(residuals, x0, *, jacobian, maxiter: int, ftol: float) -> LeastSqua
                 # the damped step no longer moves x, and more damping would
                 # only shrink it further
                 return LeastSquaresResult(x, fun, nit, nfev, True)
-            r_trial = residuals(trial)
-            nfev += 1
-            fun_trial = float(r_trial @ r_trial)
-            if fun_trial < fun:
-                break
+            if rejected is None or not np.array_equal(trial, rejected):
+                r_trial = residuals(trial)
+                nfev += 1
+                fun_trial = float(r_trial @ r_trial)
+                if fun_trial < fun:
+                    break
+                rejected = trial
             lam *= 10.0
         lam *= 0.1
         settled = fun - fun_trial <= ftol * fun

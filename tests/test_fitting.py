@@ -65,6 +65,10 @@ _OUTSIDE = "data points must lie strictly inside the unit square"
 _LAYOUTS = ["c", "list", "fortran", "strided"]
 
 
+# more rows than three leaves of the moment pass
+_MANY = sample_bivariate(REFERENCE_ALPHA, 3 * fitting._SUM_LEAF + 5, RandomStream(8))
+
+
 def _with(col, value):
     data = _VALID.copy()
     data[1, col] = value
@@ -114,6 +118,46 @@ class TestDataValidation:
             entry(_in_layout(data, layout))
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("data", [
+        [[0.2, 0.4], [0.4], [0.6, 0.6]],
+        [[0.2, 0.4], [0.4, "a"], [0.6, 0.6]],
+        np.array([["0.2", "0.4"], ["0.4", "b"], ["0.6", "0.6"]]),
+        _VALID + 0j,
+        _VALID + 1e-3j,
+        (_VALID + 0j).tolist(),
+        np.array((_VALID + 0j).tolist(), dtype=object),
+    ])
+    @pytest.mark.parametrize("entry", [sample_central_moments, fit_data])
+    def test_data_that_is_not_real_numbers_raises(self, entry, data):
+        with pytest.raises(DomainError) as info:
+            entry(data)
+        assert type(info.value) is DomainError
+        assert str(info.value) == "data must be an (n, 2) array of real numbers"
+
+    # the bad value sits only in the last of several leaves of the moment pass
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, 1.0])
+    @pytest.mark.parametrize("col", [0, 1])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("entry", [sample_central_moments, fit_data])
+    def test_bad_value_in_the_last_leaf_raises(self, entry, layout, col, value):
+        data = _MANY.copy()
+        data[-1, col] = value
+        with pytest.raises(DomainError) as info:
+            entry(_in_layout(data, layout))
+        assert type(info.value) is DomainError
+        assert str(info.value) == _OUTSIDE
+
+    @pytest.mark.parametrize("col", [0, 1])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_constant_column_over_several_leaves_raises(self, layout, col):
+        data = _MANY.copy()
+        data[:, col] = 0.3
+        for entry in (sample_central_moments, fit_data):
+            with pytest.raises(DegenerateDataError) as info:
+                entry(_in_layout(data, layout))
+            assert type(info.value) is DegenerateDataError
+            assert str(info.value) == "constant coordinate: sample variance is zero"
 
     @pytest.mark.parametrize("layout", _LAYOUTS)
     def test_layouts_give_the_same_results(self, layout):
@@ -251,16 +295,20 @@ class TestFitData:
         got = fitting._data_moments(draws, third=True)[1]
         assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
 
+    # 2 * _SUM_LEAF + 9 splits at a half rounded down to a multiple of 8
     @pytest.mark.parametrize("n", [3, 8, 129, fitting._SUM_LEAF, fitting._SUM_LEAF + 1,
-                                   3 * fitting._SUM_LEAF + 5, 10 ** 5 + 3])
-    def test_moments_are_whole_column_pairwise_means(self, n):
+                                   2 * fitting._SUM_LEAF + 9, 3 * fitting._SUM_LEAF + 5,
+                                   10 ** 5 + 3])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_moments_are_whole_column_pairwise_means(self, layout, n):
         draws = sample_bivariate(REFERENCE_ALPHA, n, RandomStream(305))
+        given = _in_layout(draws, layout)
         x, y = draws[:, 0].copy(), draws[:, 1].copy()
         dx, dy = x - x.mean(), y - y.mean()
-        m = sample_central_moments(draws)
+        m = sample_central_moments(given)
         assert m.as_tuple() == (x.mean(), y.mean(), np.mean(dx * dx), np.mean(dy * dy),
                                 np.mean(dx * dy))
-        assert fitting._data_moments(draws, third=True)[1] == (
+        assert fitting._data_moments(given, third=True)[1] == (
             np.mean(dx * dx * dx), np.mean(dy * dy * dy),
             np.mean(dx * dx * dy), np.mean(dx * dy * dy))
 
@@ -279,6 +327,21 @@ class TestFitData:
     def test_degenerate_data_raises(self):
         with pytest.raises(DegenerateDataError):
             fit_data(np.full((100, 2), 0.4))
+
+
+def _record_evaluations(monkeypatch) -> list:
+    """The points at which the fits that follow evaluate their residuals."""
+    evaluated = []
+    fitting_minimize = fitting.minimize
+
+    def recorded(residuals, x0, **kwargs):
+        def counted(x):
+            evaluated.append(x.copy())
+            return residuals(x)
+        return fitting_minimize(counted, x0, **kwargs)
+
+    monkeypatch.setattr(fitting, "minimize", recorded)
+    return evaluated
 
 
 class TestFitReport:
@@ -304,7 +367,8 @@ class TestFitReport:
 
     # alpha_star and objective as float.hex, both unchanged from the solver
     # that raised lam up to its cap before stopping; nfev was 28, 26, 26 and
-    # 30 there
+    # 30 there, and 15 on the last sample while a trial equal to the last
+    # rejected one was evaluated again
     @pytest.mark.parametrize("weights,n,seed,third,alpha,fun,nit,nfev", [
         ((2.0, 3.0, 4.0, 5.0), 50, 1, True,
          ("0x1.051ed40a552ddp+1", "0x1.de77081a5d6f0p+1", "0x1.2f5f1a5876682p+2",
@@ -317,20 +381,11 @@ class TestFitReport:
           "0x1.fc6d415d14ccep-2"), "0x1.26b41b91934e8p-24", 4, 14),
         ((2.0, 3.0, 4.0, 5.0), 10 ** 6, 101, True,
          ("0x1.004135f96b0e2p+1", "0x1.8060aeb43551dp+1", "0x1.0025b677f00b6p+2",
-          "0x1.407b60196944fp+2"), "0x1.a7a110d2c2c9fp-33", 6, 15),
+          "0x1.407b60196944fp+2"), "0x1.a7a110d2c2c9fp-33", 6, 11),
     ])
     def test_solve_stops_once_the_damped_step_rounds_to_x(self, monkeypatch, weights, n, seed,
                                                            third, alpha, fun, nit, nfev):
-        evaluated = []
-
-        def recorded(residuals, x0, **kwargs):
-            def counted(x):
-                evaluated.append(x.copy())
-                return residuals(x)
-            return fitting_minimize(counted, x0, **kwargs)
-
-        fitting_minimize = fitting.minimize
-        monkeypatch.setattr(fitting, "minimize", recorded)
+        evaluated = _record_evaluations(monkeypatch)
         data = sample_bivariate(AlphaBivariate(*weights), n, RandomStream(seed))
         res = fit_data(data, match_third_order=third)
         a = res.alpha_star
@@ -339,6 +394,17 @@ class TestFitReport:
         assert res.converged
         assert (res.nit, res.nfev) == (nit, nfev)
         assert 1 <= res.nit < res.nfev == len(evaluated)
+
+    @pytest.mark.parametrize("weights,n,seed,third", [
+        ((2.0, 3.0, 4.0, 5.0), 10 ** 6, 101, True),
+        ((1.0, 2.0, 1.0, 2.0), 2000, 202, False),
+    ])
+    def test_no_point_is_evaluated_twice(self, monkeypatch, weights, n, seed, third):
+        evaluated = _record_evaluations(monkeypatch)
+        res = fit_data(sample_bivariate(AlphaBivariate(*weights), n, RandomStream(seed)),
+                       match_third_order=third)
+        assert res.nfev == len(evaluated)
+        assert len({x.tobytes() for x in evaluated}) == len(evaluated)
 
     def test_bound_rescale_is_reported(self):
         exact = moment_vector(REFERENCE_ALPHA)
