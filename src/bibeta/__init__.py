@@ -13,8 +13,8 @@ from .baselines import (ArnoldParams, LibbyNovickParams, pdf_libby_novick,
                         pdf_three_param, sample_arnold, sample_libby_novick)
 from .construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
                            sample_bivariate, sample_dirichlet, sample_trivariate)
-from .density import (DensityArrays, DensityValue, Region, classify_region, pdf,
-                      pdf_closed_form, pdf_grid, pdf_points, pdf_quadrature)
+from .density import (DensityArrays, DensityValue, pdf, pdf_closed_form, pdf_grid,
+                      pdf_points, pdf_quadrature)
 from .errors import (BibetaError, ConvergenceError, DegenerateDataError,
                      DomainError, InfeasibleMomentsError)
 from .fitting import (FitOptions, FitResult, alpha_sum_bound, fit_data,
@@ -22,8 +22,8 @@ from .fitting import (FitOptions, FitResult, alpha_sum_bound, fit_data,
                       sample_central_moments)
 from .moments import (MomentVector, central_moment, correlation,
                       correlation_table, mixed_moment, moment_vector)
-from .special import (IntegrandSpec, QuadratureResult, appell_f1, hyp2f1,
-                      integrate_unit, ln_beta_multi)
+from .special import (QuadratureResult, appell_f1, hyp2f1, integrate_unit,
+                      ln_beta_multi)
 
 __version__ = "0.1.0"
 
@@ -31,11 +31,11 @@ __all__ = [
     "__version__",
     "BibetaError", "DomainError", "ConvergenceError",
     "InfeasibleMomentsError", "DegenerateDataError",
-    "ln_beta_multi", "IntegrandSpec", "QuadratureResult",
+    "ln_beta_multi", "QuadratureResult",
     "integrate_unit", "hyp2f1", "appell_f1",
     "AlphaBivariate", "AlphaTrivariate", "RandomStream",
     "sample_dirichlet", "sample_bivariate", "sample_trivariate",
-    "Region", "classify_region", "DensityValue", "DensityArrays",
+    "DensityValue", "DensityArrays",
     "pdf", "pdf_closed_form", "pdf_quadrature", "pdf_points", "pdf_grid",
     "MomentVector", "moment_vector", "correlation", "correlation_table",
     "mixed_moment", "central_moment",

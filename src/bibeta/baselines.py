@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import _OPEN_HI, _OPEN_LO, RandomStream, _check_count
+from .construction import _OPEN_HI, _OPEN_LO, RandomStream, _check_count, _check_positive
 from .errors import DomainError
 from .special import ln_beta_multi
 
@@ -25,11 +25,6 @@ __all__ = [
     "pdf_three_param",
     "sample_arnold",
 ]
-
-
-def _check_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,7 @@ class LibbyNovickParams:
 
     def __post_init__(self):
         for name in ("a0", "a1", "a2", "b0", "b1", "b2"):
-            _check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
     @property
     def lambda1(self) -> float:
@@ -72,7 +67,7 @@ class ArnoldParams:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a5"):
-            _check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
 
 def _check_n(n) -> int:
@@ -139,8 +134,7 @@ def pdf_libby_novick(p: LibbyNovickParams, x: float, y: float) -> float:
 
 def pdf_three_param(a0: float, a1: float, a2: float, x: float, y: float) -> float:
     """Density of the equal-rates reduction, with denominator (1-xy)^(a0+a1+a2)."""
-    for name, v in (("a0", a0), ("a1", a1), ("a2", a2)):
-        _check_positive(name, v)
+    a0, a1, a2 = (_check_positive(f"a{i}", v) for i, v in enumerate((a0, a1, a2)))
     _check_point(x, y)
     s = a0 + a1 + a2
     ln_f = (-ln_beta_multi((a0, a1, a2))

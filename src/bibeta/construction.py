@@ -31,11 +31,18 @@ _OPEN_LO = float(np.nextafter(0.0, 1.0))
 _OPEN_HI = float(np.nextafter(1.0, 0.0))
 
 
-def _check_positive(name: str, value: float) -> float:
-    v = float(value)
-    if not (math.isfinite(v) and v > 0.0):
+def _check_positive(name: str, value) -> float:
+    """``value`` as a float: a Python or numpy int or float, finite and > 0;
+    ``bool`` and strings are not numbers here."""
+    try:
+        ok = (not isinstance(value, bool)
+              and isinstance(value, (int, float, np.integer, np.floating))
+              and math.isfinite(value) and value > 0.0)
+    except OverflowError:       # an int past the float range
+        ok = False
+    if not ok:
         raise DomainError(f"{name} must be finite and > 0, got {value!r}")
-    return v
+    return float(value)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ compensated residual, so the test is exact even where x + y rounds).
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -47,9 +46,7 @@ from .special import (appell_f1, hyp2f1, integrate_unit,  # noqa: F401
                       integrate_unit_batch, ln_beta_multi)
 
 __all__ = [
-    "Region",
     "DensityValue",
-    "classify_region",
     "pdf_quadrature",
     "pdf_closed_form",
     "pdf",
@@ -57,19 +54,6 @@ __all__ = [
     "DensityArrays",
     "pdf_grid",
 ]
-
-
-class Region(enum.Enum):
-    ABP = "ABP"                  # x + y < 1, x < y
-    APD = "APD"                  # x + y < 1, x > y
-    BCP = "BCP"                  # x + y > 1, x < y
-    CDP = "CDP"                  # x + y > 1, x > y
-    LINE_AP = "LINE_AP"          # x = y < 1/2
-    LINE_PC = "LINE_PC"          # x = y > 1/2
-    LINE_BP = "LINE_BP"          # x + y = 1, x < 1/2
-    LINE_PD = "LINE_PD"          # x + y = 1, x > 1/2
-    CENTER_P = "CENTER_P"        # x = y = 1/2
-    OUT_OF_DOMAIN = "OUT_OF_DOMAIN"
 
 
 def _sum_minus_one(x, y):
@@ -80,27 +64,6 @@ def _sum_minus_one(x, y):
     b = s - x
     err = (x - (s - b)) + (y - b)
     return (s - 1.0) + err
-
-
-def classify_region(x: float, y: float) -> Region:
-    """Place (x, y) on the region map; no epsilon snapping anywhere."""
-    if not (isinstance(x, (int, float)) and isinstance(y, (int, float))):
-        raise DomainError("coordinates must be real numbers")
-    x, y = float(x), float(y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        return Region.OUT_OF_DOMAIN
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        return Region.OUT_OF_DOMAIN
-    d = _sum_minus_one(x, y)
-    if x == y:
-        if d == 0.0:
-            return Region.CENTER_P
-        return Region.LINE_AP if x < 0.5 else Region.LINE_PC
-    if d == 0.0:
-        return Region.LINE_BP if x < 0.5 else Region.LINE_PD
-    if d < 0.0:
-        return Region.ABP if x < y else Region.APD
-    return Region.BCP if x < y else Region.CDP
 
 
 _METHODS = ("closed_form", "quadrature")
@@ -375,37 +338,27 @@ def _center(alpha: AlphaBivariate) -> float | None:
 
 def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
                     tol: float = 1e-10) -> DensityValue:
-    """Density via the region-matched hypergeometric expression.
+    """Density via the paper's hypergeometric expression.
 
-    Regions other than the directly-coded ones are mapped back through the
-    swap and reflection symmetries of the construction, which are exact.
+    A point with x + y > 1 is reflected to (1-x, 1-y) and one with x > y
+    swapped to (y, x), both exact symmetries of the construction, which
+    leaves the lower-left triangle, its two half-lines or the center.
     ``tol`` is the relative tolerance of the Appell F1 integral; the Gauss
     2F1 on the cut lines runs one decade tighter.
     """
     x, y = float(x), float(y)
     _require_inside(x, y, tol)
-    region = classify_region(x, y)
     d = _sum_minus_one(x, y)
-
-    if region is Region.ABP:
+    if d > 0.0:
+        alpha, x, y, d = alpha.reflected(), 1.0 - x, 1.0 - y, -d
+    if x > y:
+        alpha, x, y = alpha.swapped(), y, x
+    if x == y:
+        v = _diagonal_half(alpha, x, tol) if d < 0.0 else _center(alpha)
+    elif d < 0.0:
         v = _lower_triangle(alpha, x, y, d, tol)
-    elif region is Region.APD:
-        v = _lower_triangle(alpha.swapped(), y, x, d, tol)
-    elif region is Region.CDP:
-        v = _lower_triangle(alpha.reflected(), 1.0 - x, 1.0 - y, -d, tol)
-    elif region is Region.BCP:
-        v = _lower_triangle(alpha.reflected().swapped(), 1.0 - y, 1.0 - x, -d, tol)
-    elif region is Region.LINE_AP:
-        v = _diagonal_half(alpha, x, tol)
-    elif region is Region.LINE_PC:
-        v = _diagonal_half(alpha.reflected(), 1.0 - x, tol)
-    elif region is Region.LINE_BP:
-        v = _antidiagonal_half(alpha, x, y, tol)
-    elif region is Region.LINE_PD:
-        # on this line 1-x equals y exactly, so the reflected point is (y, x)
-        v = _antidiagonal_half(alpha.reflected(), y, x, tol)
     else:
-        v = _center(alpha)
+        v = _antidiagonal_half(alpha, x, y, tol)
     if v is None:
         return DensityValue(math.inf, "closed_form", diverged=True)
     return DensityValue(v, "closed_form", diverged=False)

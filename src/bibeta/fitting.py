@@ -108,16 +108,16 @@ def _tree_sums(leaf, start: int, stop: int) -> np.ndarray:
 
 
 def _real_pairs(data) -> np.ndarray:
-    """``data`` as a float array; ragged, non-numeric or complex data is a
-    ``DomainError``."""
+    """``data`` as a float array; data that numpy does not read as an integer
+    or float array (ragged, ``None``, strings, complex) is a ``DomainError``."""
     message = "data must be an (n, 2) array of real numbers"
     try:
         arr = np.asarray(data)
-        if arr.dtype.kind != "c":
-            return arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise DomainError(message) from exc
-    raise DomainError(message)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(message)
+    return arr.astype(float, copy=False)
 
 
 def _data_moments(data, third: bool) -> tuple:

@@ -7,17 +7,18 @@ converges at a near-spectral rate even when the endpoint powers are singular,
 because the node density grows double-exponentially towards both endpoints.
 ``t`` and ``1 - t`` are both derived in log form straight from ``u``, so the
 endpoint powers stay accurate where ``t`` itself would round to 0 or 1.
-Those node tables depend only on the level and the node caps, so they are
-built once, on first use, and shared: ``integrate_unit_batch`` sweeps many
-integrands with the same endpoint exponents over them at once, and
-``integrate_unit`` is a batch of one.
+The rule runs at most 10 levels, each with its node index capped at 2**14
+on either side.  The node tables depend only on the level and the node
+caps, so they are built once, on first use, and shared:
+``integrate_unit_batch`` sweeps many integrands with the same endpoint
+exponents over them at once, and ``integrate_unit`` is a batch of one.
 
 The endpoint weights ``exp(p1*log t + q1*log(1-t) + log(pi cosh u))`` are
-cached too, per (levels, p + 1, q + 1, node budget), in a least-recently-used
-cache of at most 256 read-only entries, each filled only when a call first
-reaches its levels.  Every row runs levels 0-2 before the stopping rule may
-end it, so those three levels form one entry: their nodes go through the
-smooth factor in one call, and the three level sums are taken by slices.
+cached too, per (levels, p + 1, q + 1), in a least-recently-used cache of at
+most 256 read-only entries, each filled only when a call first reaches its
+levels.  Every row runs levels 0-2 before the stopping rule may end it, so
+those three levels form one entry: their nodes go through the smooth factor
+in one call, and the three level sums are taken by slices.
 Each later level is an entry of its own.  An entry also holds the indices of
 the nodes whose weight underflows to 0; those nodes add nothing, whatever the
 smooth factor is there.  Where ``smooth`` gives every row the same factors,
@@ -45,7 +46,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "QuadratureResult",
-    "IntegrandSpec",
     "ln_beta_multi",
     "integrate_unit",
     "integrate_unit_batch",
@@ -62,6 +62,10 @@ _T_HI = float(np.nextafter(1.0, 0.0))
 # exp underflows to 0 below -745; cap node ranges once the weight is gone.
 _LOG_TINY = 780.0
 
+# levels of the rule, and the cap on each level's node index per side
+_MAX_LEVELS = 10
+_NODE_BUDGET = 2 ** 14
+
 
 def ln_beta_multi(alphas: Sequence[float]) -> float:
     """Log of the multivariate beta function: sum(lgamma) - lgamma(sum)."""
@@ -72,36 +76,6 @@ def ln_beta_multi(alphas: Sequence[float]) -> float:
         if not (math.isfinite(a) and a > 0.0):
             raise DomainError(f"ln_beta_multi components must be finite and > 0, got {a!r}")
     return math.fsum(math.lgamma(a) for a in vals) - math.lgamma(math.fsum(vals))
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    """Integrand t**p * (1-t)**q * smooth_factor(t) on the open unit interval.
-
-    Parameters
-    ----------
-    endpoint_exponent_left : float
-        Power ``p`` of ``t`` at the left endpoint; must exceed -1.
-    endpoint_exponent_right : float
-        Power ``q`` of ``1 - t`` at the right endpoint; must exceed -1.
-    smooth_factor : callable
-        Vectorised function of the node array. It is only ever called with
-        values strictly inside (0, 1) and must return finite values there;
-        any singular behaviour has to be expressed through the exponents.
-    """
-
-    endpoint_exponent_left: float
-    endpoint_exponent_right: float
-    smooth_factor: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        for name in ("endpoint_exponent_left", "endpoint_exponent_right"):
-            e = float(getattr(self, name))
-            if not (math.isfinite(e) and e > -1.0):
-                raise DomainError(f"{name} must be finite and > -1, got {e!r}")
-            object.__setattr__(self, name, e)
-        if not callable(self.smooth_factor):
-            raise DomainError("smooth_factor must be callable")
 
 
 @dataclass(frozen=True)
@@ -117,10 +91,10 @@ class QuadratureResult:
             raise DomainError("evaluations must be a positive integer")
 
 
-def _node_cap(h: float, c: float, budget: int) -> int:
+def _node_cap(h: float, c: float) -> int:
     # largest k with c * pi * sinh(k*h) still inside exp's range
     u_max = math.asinh(_LOG_TINY / (c * math.pi))
-    return min(int(u_max / h), budget)
+    return min(int(u_max / h), _NODE_BUDGET)
 
 
 @functools.lru_cache(maxsize=256)
@@ -145,7 +119,7 @@ def _node_table(level: int, k_left: int, k_right: int):
 
 
 @functools.lru_cache(maxsize=256)
-def _weighted_nodes(levels: tuple, p1: float, q1: float, budget: int):
+def _weighted_nodes(levels: tuple, p1: float, q1: float):
     """Read-only ``(t, 1-t, weight, zeros, ends)`` over the nodes that
     ``levels`` add, concatenated in that order, with ``weight = exp(p1*log t
     + q1*log(1-t) + log(pi cosh u))``; ``zeros`` holds the indices where that
@@ -155,7 +129,7 @@ def _weighted_nodes(levels: tuple, p1: float, q1: float, budget: int):
     for level in levels:
         h = 2.0 ** -level
         log_t, log_1mt, log_jac, t, one_minus_t = _node_table(
-            level, _node_cap(h, p1, budget), _node_cap(h, q1, budget))
+            level, _node_cap(h, p1), _node_cap(h, q1))
         parts.append((t, one_minus_t, np.exp(p1 * log_t + q1 * log_1mt + log_jac)))
     if len(parts) == 1:
         t, one_minus_t, w = parts[0]
@@ -168,11 +142,11 @@ def _weighted_nodes(levels: tuple, p1: float, q1: float, budget: int):
     return t, one_minus_t, w, zeros, ends
 
 
-def _level_sums(levels, p1, q1, smooth, rows, budget):
+def _level_sums(levels, p1, q1, smooth, rows):
     """Sums of weight times smooth factor over the nodes each of ``levels``
     adds, one entry per row in ``rows`` (or one for all of them), from one
     ``smooth`` call; and the number of those nodes."""
-    t, one_minus_t, w, zeros, ends = _weighted_nodes(levels, p1, q1, budget)
+    t, one_minus_t, w, zeros, ends = _weighted_nodes(levels, p1, q1)
     vals = w * np.asarray(smooth(t, one_minus_t, rows), dtype=float)
     if zeros.size:
         # a node whose weight underflowed adds nothing, even where the smooth
@@ -198,18 +172,17 @@ class BatchQuadrature:
 
 def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right: float,
                          smooth: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                         n_rows: int, tol: float = 1e-10, *, max_levels: int = 10,
-                         max_nodes_per_level: int = 2 ** 14) -> BatchQuadrature:
+                         n_rows: int, tol: float = 1e-10) -> BatchQuadrature:
     """Integrate ``t**p * (1-t)**q * smooth(t, row)`` over (0, 1) for
     ``n_rows`` integrands that share the endpoint exponents ``p`` and ``q``.
 
     ``smooth(t, one_minus_t, active)`` gets nodes (those of levels 0-2
-    together, up to ``max_levels``, then one level's at a time), ``1 - t``
-    (positive where ``t`` rounds to 1) and the indices of the rows still
-    iterating, and returns their smooth factors as an ``(active.size,
-    t.size)`` array, or anything that broadcasts to it.  It is only called
-    with nodes strictly inside (0, 1) and must be finite there.  Each row
-    stops on the rule of ``integrate_unit``; the rest go on to finer levels.
+    together, then one level's at a time), ``1 - t`` (positive where ``t``
+    rounds to 1) and the indices of the rows still iterating, and returns
+    their smooth factors as an ``(active.size, t.size)`` array, or anything
+    that broadcasts to it.  It is only called with nodes strictly inside
+    (0, 1) and must be finite there.  Each row stops on the rule of
+    ``integrate_unit``; the rest go on to finer levels.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
@@ -224,22 +197,19 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
     converged = np.zeros(n_rows, dtype=bool)
 
     # every row runs levels 0-2, so their nodes go through one smooth call;
-    # level 0 runs even when max_levels < 1, and its estimate is returned;
     # v, e: estimate and last inter-level difference of the rows in `active`,
     # shaped like the level sums, so scalars where ``smooth`` gives every row
     # the same factors (a batch of one among them)
-    first = tuple(range(max(1, min(3, max_levels))))
     active = np.arange(n_rows)
     floor = tol * 1e-280
     with np.errstate(invalid="ignore", over="ignore"):
-        sums, spent = _level_sums(first, p1, q1, smooth, active, max_nodes_per_level)
+        sums, spent = _level_sums((0, 1, 2), p1, q1, smooth, active)
         v, e = sums[0], math.inf            # h = 1 at level 0
-        for level in range(1, max_levels):
-            if level < len(first):
+        for level in range(1, _MAX_LEVELS):
+            if level < 3:
                 new_sum = sums[level]
             else:
-                (new_sum,), n = _level_sums((level,), p1, q1, smooth, active,
-                                            max_nodes_per_level)
+                (new_sum,), n = _level_sums((level,), p1, q1, smooth, active)
                 spent += n
             new = v / 2.0 + 2.0 ** -level * new_sum
             e = abs(new - v)
@@ -265,9 +235,14 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
     return BatchQuadrature(value, err, evals, converged)
 
 
-def integrate_unit(spec: IntegrandSpec, tol: float = 1e-10, *,
-                   max_levels: int = 10, max_nodes_per_level: int = 2 ** 14) -> QuadratureResult:
-    """Integrate ``t**p * (1-t)**q * smooth(t)`` over (0, 1).
+def integrate_unit(p: float, q: float, smooth: Callable[[np.ndarray], np.ndarray],
+                   tol: float = 1e-10) -> QuadratureResult:
+    """Integrate ``t**p * (1-t)**q * smooth(t)`` over (0, 1), for finite
+    ``p, q > -1``.
+
+    ``smooth`` gets an array of nodes strictly inside (0, 1) and must return
+    finite values there; any singular behaviour has to be expressed through
+    the exponents.
 
     Levels halve the mesh, reusing earlier nodes; iteration stops once two
     consecutive levels agree to ``tol`` in relative terms.  The reported
@@ -278,20 +253,17 @@ def integrate_unit(spec: IntegrandSpec, tol: float = 1e-10, *,
     Raises
     ------
     ConvergenceError
-        If the node budget runs out first.  The best estimate rides along on
-        the exception's ``result`` attribute.
+        If the levels run out first.  The best estimate rides along on the
+        exception's ``result`` attribute.
     """
-    smooth = spec.smooth_factor
-    batch = integrate_unit_batch(spec.endpoint_exponent_left, spec.endpoint_exponent_right,
-                                 lambda t, *_: smooth(t), 1, tol, max_levels=max_levels,
-                                 max_nodes_per_level=max_nodes_per_level)
+    batch = integrate_unit_batch(p, q, lambda t, *_: smooth(t), 1, tol)
     result = QuadratureResult(value=float(batch.value[0]),
                               abs_error_estimate=float(batch.abs_error_estimate[0]),
                               evaluations=int(batch.evaluations[0]))
     if batch.converged[0]:
         return result
     raise ConvergenceError(
-        f"tanh-sinh rule did not reach tol={tol:g} within {max_levels} levels "
+        f"tanh-sinh rule did not reach tol={tol:g} within {_MAX_LEVELS} levels "
         f"({result.evaluations} evaluations); last inter-level difference "
         f"{result.abs_error_estimate:g}", result=result)
 
@@ -342,6 +314,5 @@ def appell_f1(a: float, b1: float, b2: float, c: float,
             out = out * np.power(1.0 - z2 * t, -b2)
         return out
 
-    spec = IntegrandSpec(a - 1.0, c - a - 1.0, smooth)
-    q = integrate_unit(spec, tol=tol)
+    q = integrate_unit(a - 1.0, c - a - 1.0, smooth, tol)
     return math.exp(-ln_beta_multi((a, c - a))) * q.value

@@ -28,7 +28,7 @@ from bibeta.construction import (
     sample_bivariate,
     sample_trivariate,
 )
-from bibeta.density import classify_region, pdf, pdf_closed_form, pdf_quadrature
+from bibeta.density import pdf, pdf_closed_form, pdf_quadrature
 from bibeta.errors import ConvergenceError
 from bibeta.fitting import fit_moments
 from bibeta.moments import (

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bibeta import construction
+from bibeta.baselines import ArnoldParams, LibbyNovickParams, pdf_three_param
 from bibeta.construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
                                  sample_bivariate, sample_dirichlet, sample_trivariate)
 from bibeta.errors import DomainError
@@ -246,3 +248,34 @@ class TestSampleCounts:
         assert sample_bivariate(AlphaBivariate(1, 1, 1, 1), count, RandomStream(0)).shape == (count, 2)
         assert sample_trivariate(AlphaTrivariate(*[1.0] * 8), count, RandomStream(0)).shape == (count, 3)
         assert sample_dirichlet((1.0, 2.0), RandomStream(0), size=count).shape == (count, 2)
+
+
+# every weight and shape parameter goes through one check: one argument of
+# each constructor (and of pdf_three_param) set to the value under test
+_POSITIVE_PARAMETERS = {
+    "AlphaBivariate": lambda v: AlphaBivariate(v, 3, 4, 5),
+    "AlphaTrivariate": lambda v: AlphaTrivariate(*[1.0] * 7, v),
+    "LibbyNovickParams.a0": lambda v: LibbyNovickParams(v, 3, 4),
+    "LibbyNovickParams.b2": lambda v: LibbyNovickParams(2, 3, 4, b2=v),
+    "ArnoldParams": lambda v: ArnoldParams(1, 1, v, 1, 1),
+    "pdf_three_param": lambda v: pdf_three_param(v, 3, 4, 0.3, 0.4),
+}
+
+
+class TestPositiveParameters:
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "2", None, 2 + 0j, 0, -1,
+                                       np.int64(0), np.float64(-2.0), math.inf, math.nan,
+                                       10 ** 400])
+    @pytest.mark.parametrize("make", _POSITIVE_PARAMETERS.values(), ids=_POSITIVE_PARAMETERS)
+    def test_rejected(self, make, value):
+        with pytest.raises(DomainError, match="must be finite and > 0"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.int32(2), np.uint8(2),
+                                       np.float64(2.0), np.float32(2.0)])
+    @pytest.mark.parametrize("make", _POSITIVE_PARAMETERS.values(), ids=_POSITIVE_PARAMETERS)
+    def test_accepted_and_stored_as_float(self, make, value):
+        got = make(value)
+        assert got == make(2.0)
+        if dataclasses.is_dataclass(got):
+            assert all(type(v) is float for v in dataclasses.astuple(got))

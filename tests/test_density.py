@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibeta.construction import AlphaBivariate
-from bibeta.density import (DensityValue, Region, classify_region, pdf,
-                            pdf_closed_form, pdf_grid, pdf_points, pdf_quadrature)
+from bibeta.density import (DensityValue, _sum_minus_one, pdf, pdf_closed_form, pdf_grid,
+                            pdf_points, pdf_quadrature)
 from bibeta.errors import ConvergenceError, DomainError
 from oracles import density_mpmath, density_riemann
 
@@ -131,42 +131,6 @@ class TestPinnedValues:
         assert got.diverged == (evaluations == 0)
 
 
-class TestClassifyRegion:
-    @pytest.mark.parametrize("x,y,region", [
-        (0.2, 0.3, Region.ABP),
-        (0.3, 0.2, Region.APD),
-        (0.6, 0.7, Region.BCP),
-        (0.7, 0.6, Region.CDP),
-        (0.3, 0.3, Region.LINE_AP),
-        (0.7, 0.7, Region.LINE_PC),
-        (0.25, 0.75, Region.LINE_BP),
-        (0.75, 0.25, Region.LINE_PD),
-        (0.5, 0.5, Region.CENTER_P),
-        (1.0, 0.5, Region.OUT_OF_DOMAIN),
-        (0.5, 0.0, Region.OUT_OF_DOMAIN),
-        (-0.1, 0.5, Region.OUT_OF_DOMAIN),
-    ])
-    def test_examples(self, x, y, region):
-        assert classify_region(x, y) is region
-
-    def test_sum_test_is_exact_not_epsilon(self):
-        # 0.3 + 0.7 rounds to 1.0 but the exact sum falls short of it
-        assert classify_region(0.3, 0.7) is Region.ABP
-        # dyadic complements sum to 1 exactly and land on the line
-        assert classify_region(0.25, 0.75) is Region.LINE_BP
-        assert classify_region(0.875, 0.125) is Region.LINE_PD
-
-    @given(st.floats(0.001, 0.999), st.floats(0.001, 0.999))
-    @settings(max_examples=200, deadline=None)
-    def test_exhaustive_and_exclusive(self, x, y):
-        region = classify_region(x, y)
-        assert region is not Region.OUT_OF_DOMAIN
-        if region in (Region.ABP, Region.APD):
-            assert x != y
-        if region in (Region.LINE_AP, Region.LINE_PC, Region.CENTER_P):
-            assert x == y
-
-
 class TestPdfQuadrature:
     def test_all_ones_is_tent(self):
         # for unit weights the density is 6 * (min(x,y) - max(0, x+y-1))
@@ -241,6 +205,40 @@ class TestPdfClosedForm:
     def test_outside_domain_raises(self):
         with pytest.raises(DomainError):
             pdf_closed_form(GENERIC, 0.0, 0.5)
+
+    # one point per sign pattern of (x + y - 1, x - y): the four triangles,
+    # the four half-lines and the center, each reached through its own
+    # reflection and swap; values as float.hex
+    @pytest.mark.parametrize("weights,x,y,value", [
+        *[((2.0, 3.0, 4.0, 5.0), *row) for row in [
+            (0.2, 0.3, "0x1.b3de28010a717p+1"), (0.3, 0.2, "0x1.e2a91e3929800p+0"),
+            (0.6, 0.7, "0x1.d38c74efa072cp-3"), (0.7, 0.6, "0x1.077cc6ce50c7fp-3"),
+            (0.3, 0.3, "0x1.81f2f50009c8fp+2"), (0.7, 0.7, "0x1.bd397beb968d5p-5"),
+            (0.25, 0.75, "0x1.94177fffffff2p-2"), (0.75, 0.25, "0x1.e473ffffffff5p-5"),
+            (0.5, 0.5, "0x1.e77fffffffff3p+1")]],
+        *[((0.9, 0.8, 0.7, 0.6), *row) for row in [
+            (0.2, 0.3, "0x1.8109b2d2ca162p-1"), (0.3, 0.2, "0x1.b1dcd0c11cabdp-1"),
+            (0.6, 0.7, "0x1.aa86b0c3dc9ffp+0"), (0.7, 0.6, "0x1.cfb399f734a3ap+0"),
+            (0.3, 0.3, "0x1.5cb6705a32d53p+0"), (0.7, 0.7, "0x1.15d2bc5467d83p+1"),
+            (0.25, 0.75, "0x1.6ffed357d1da3p+0"), (0.75, 0.25, "0x1.ba2742adf344dp+0"),
+            (0.5, 0.5, "0x1.4e692d0b1e80cp+1")]],
+    ])
+    def test_values_are_pinned(self, weights, x, y, value):
+        got = pdf_closed_form(AlphaBivariate(*weights), x, y)
+        assert got.value == float.fromhex(value)
+        assert not got.diverged
+
+    def test_sum_test_is_exact_not_epsilon(self):
+        # a11 + a00 <= 1, so the antidiagonal diverges; 0.3 + 0.7 rounds to
+        # 1.0 but the exact sum falls short of it, so the point is off it
+        a = AlphaBivariate(0.3, 2.0, 3.0, 0.4)
+        for got in (pdf(a, 0.3, 0.7), pdf_closed_form(a, 0.3, 0.7)):
+            assert not got.diverged
+            assert got.value == pytest.approx(363433.33578135, rel=1e-12)
+        # dyadic complements sum to 1 exactly and land on the line
+        for x, y in [(0.25, 0.75), (0.875, 0.125)]:
+            assert pdf(a, x, y).diverged
+            assert pdf_closed_form(a, x, y).diverged
 
 
 class TestPdf:
@@ -371,13 +369,12 @@ class TestPdfGrid:
         # an odd resolution puts cells on both lines and at the center
         a = AlphaBivariate(*weights)
         grid = pdf_grid(a, resolution=9, tol=1e-10)
-        regions = [classify_region(x, y) for x, y in grid[:, :2]]
-        diag = {Region.LINE_AP, Region.LINE_PC, Region.CENTER_P}
-        anti = {Region.LINE_BP, Region.LINE_PD, Region.CENTER_P}
-        assert {r for r in regions} == set(Region) - {Region.OUT_OF_DOMAIN}
-        for (x, y, v), region in zip(grid, regions):
-            expect_inf = ((region in diag and a.a10 + a.a01 <= 1.0)
-                          or (region in anti and a.a11 + a.a00 <= 1.0))
+        # the exact sign of x + y - 1, not the rounded sum
+        patterns = [(np.sign(_sum_minus_one(x, y)), np.sign(x - y)) for x, y in grid[:, :2]]
+        assert len(set(patterns)) == 9
+        for (x, y, v), (d_sign, s_sign) in zip(grid, patterns):
+            expect_inf = ((s_sign == 0.0 and a.a10 + a.a01 <= 1.0)
+                          or (d_sign == 0.0 and a.a11 + a.a00 <= 1.0))
             assert math.isinf(v) == expect_inf
             if not expect_inf:
                 assert rel_diff(v, pdf_quadrature(a, x, y, tol=1e-10).value) <= 1e-12

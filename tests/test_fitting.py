@@ -82,7 +82,7 @@ def _in_layout(data, layout):
     if layout == "fortran":
         return np.asfortranarray(data)
     if layout == "strided":
-        wide = np.zeros(tuple(2 * k + 1 for k in data.shape))
+        wide = np.zeros(tuple(2 * k + 1 for k in data.shape), dtype=data.dtype)
         view = wide[(slice(1, None, 2),) * data.ndim]
         view[...] = data
         return view
@@ -132,6 +132,20 @@ class TestDataValidation:
     def test_data_that_is_not_real_numbers_raises(self, entry, data):
         with pytest.raises(DomainError) as info:
             entry(data)
+        assert type(info.value) is DomainError
+        assert str(info.value) == "data must be an (n, 2) array of real numbers"
+
+    # a None entry is not a point off the square, and numeric strings are
+    # not parsed
+    @pytest.mark.parametrize("data", [
+        np.array([[0.2, 0.4], [0.4, None], [0.6, 0.6]], dtype=object),
+        _VALID.astype(str),
+    ])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    @pytest.mark.parametrize("entry", [sample_central_moments, fit_data])
+    def test_none_and_numeric_strings_are_not_real_numbers(self, entry, layout, data):
+        with pytest.raises(DomainError) as info:
+            entry(_in_layout(data, layout))
         assert type(info.value) is DomainError
         assert str(info.value) == "data must be an (n, 2) array of real numbers"
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bibeta.errors import ConvergenceError, DomainError
-from bibeta.special import (IntegrandSpec, QuadratureResult, appell_f1, hyp2f1,
-                            integrate_unit, integrate_unit_batch, ln_beta_multi)
+from bibeta.special import (QuadratureResult, appell_f1, hyp2f1, integrate_unit,
+                            integrate_unit_batch, ln_beta_multi)
 from oracles import appell_f1_series, gauss_legendre_unit, hyp2f1_series
 
 
@@ -28,23 +28,23 @@ class TestLnBetaMulti:
 
 class TestIntegrateUnit:
     def test_constant(self):
-        res = integrate_unit(IntegrandSpec(0.0, 0.0, lambda t: np.ones_like(t)))
+        res = integrate_unit(0.0, 0.0, lambda t: np.ones_like(t))
         assert res.value == pytest.approx(1.0, rel=1e-12)
         assert res.evaluations >= 1
         assert res.abs_error_estimate >= 0.0
 
     def test_arcsine_weight(self):
         # both endpoint exponents singular; the smooth part is constant
-        res = integrate_unit(IntegrandSpec(-0.5, -0.5, lambda t: np.ones_like(t)))
+        res = integrate_unit(-0.5, -0.5, lambda t: np.ones_like(t))
         assert res.value == pytest.approx(math.pi, rel=1e-10)
 
     def test_arcsine_node_count_is_pinned(self):
         # the node set per level is fixed: caching the tables must not move it
-        res = integrate_unit(IntegrandSpec(-0.5, -0.5, lambda t: np.ones_like(t)))
+        res = integrate_unit(-0.5, -0.5, lambda t: np.ones_like(t))
         assert res.evaluations == 111
 
     def test_exp_smooth_against_oracles(self):
-        res = integrate_unit(IntegrandSpec(0.5, 1.2, np.exp), tol=1e-12)
+        res = integrate_unit(0.5, 1.2, np.exp, tol=1e-12)
         # pinned by the dyadic Gauss-Legendre oracle at build time
         assert res.value == pytest.approx(0.3604571363997051, rel=1e-11)
         oracle = gauss_legendre_unit(
@@ -54,24 +54,29 @@ class TestIntegrateUnit:
     @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 10.0])
     @pytest.mark.parametrize("b", [0.1, 0.5, 1.0, 2.0, 10.0])
     def test_matches_beta_function(self, a, b):
-        res = integrate_unit(IntegrandSpec(a - 1.0, b - 1.0, lambda t: np.ones_like(t)))
+        res = integrate_unit(a - 1.0, b - 1.0, lambda t: np.ones_like(t))
         assert res.value == pytest.approx(math.exp(ln_beta_multi((a, b))), rel=1e-10)
 
     def test_budget_exhaustion_carries_best_estimate(self):
-        spec = IntegrandSpec(-0.5, -0.5, lambda t: np.ones_like(t))
+        # cos(1e4 t) oscillates faster than 10 levels resolve
         with pytest.raises(ConvergenceError) as err:
-            integrate_unit(spec, tol=1e-10, max_levels=1)
+            integrate_unit(0.0, 0.0, lambda t: np.cos(1e4 * t), tol=1e-10)
         best = err.value.result
         assert isinstance(best, QuadratureResult)
         assert math.isfinite(best.value)
+        assert best.evaluations == 6357
+        assert "within 10 levels (6357 evaluations)" in str(err.value)
 
-    def test_spec_validation(self):
+    def test_argument_validation(self):
         with pytest.raises(DomainError):
-            IntegrandSpec(-1.0, 0.0, lambda t: t)
+            integrate_unit(-1.0, 0.0, lambda t: t)
         with pytest.raises(DomainError):
-            IntegrandSpec(0.0, -1.5, lambda t: t)
+            integrate_unit(0.0, -1.5, lambda t: t)
         with pytest.raises(DomainError):
-            IntegrandSpec(0.0, 0.0, None)
+            integrate_unit(0.0, math.nan, lambda t: t)
+        # a smooth factor that cannot be called fails where it is first used
+        with pytest.raises(TypeError):
+            integrate_unit(0.0, 0.0, None)
 
     def test_result_validation(self):
         with pytest.raises(DomainError):
@@ -91,7 +96,7 @@ class TestIntegrateUnitBatch:
         batch = integrate_unit_batch(0.5, -0.3, smooth, rates.size, tol=1e-12)
         assert batch.converged.all()
         for i, c in enumerate(rates):
-            one = integrate_unit(IntegrandSpec(0.5, -0.3, lambda t: np.exp(-c * t)), tol=1e-12)
+            one = integrate_unit(0.5, -0.3, lambda t: np.exp(-c * t), tol=1e-12)
             assert batch.value[i] == pytest.approx(one.value, rel=1e-15)
             assert batch.evaluations[i] == one.evaluations
         assert len(set(batch.evaluations)) > 1
@@ -118,11 +123,13 @@ class TestIntegrateUnitBatch:
         assert batch.value[0] == pytest.approx(exact, rel=1e-10)
 
     def test_unconverged_rows_are_flagged(self):
-        batch = integrate_unit_batch(-0.5, -0.5,
-                                     lambda t, one_minus_t, rows: np.ones((rows.size, t.size)),
-                                     3, tol=1e-10, max_levels=2)
+        # cos(1e4 k t) oscillates faster than 10 levels resolve
+        rates = np.array([1e4, 2e4, 3e4])
+        batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows:
+                                     np.cos(rates[rows][:, None] * t), 3, tol=1e-10)
         assert not batch.converged.any()
         assert np.all(np.isfinite(batch.value))
+        assert batch.evaluations.tolist() == [6357] * 3
 
     def test_non_finite_interior_raises(self):
         with pytest.raises(DomainError):
@@ -135,7 +142,7 @@ class TestIntegrateUnitBatch:
         # with p = 1 every node below t = 1e-165 has a weight that underflows
         # to 0, and the levels 0-2 reach one; a factor that is inf or nan
         # there adds nothing (values pinned as float.hex)
-        t, _, w, zeros, _ = _weighted_nodes((0, 1, 2), 2.0, 1.0, 2 ** 14)
+        t, _, w, zeros, _ = _weighted_nodes((0, 1, 2), 2.0, 1.0)
         assert zeros.size and np.all(t[zeros] < 1e-165) and np.all(w[t < 1e-165] == 0.0)
         batch = integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows:
                                      np.where(t < 1e-165, bad, 1.0 / (1.0 + t)), 1)
@@ -156,44 +163,6 @@ class TestIntegrateUnitBatch:
         with pytest.raises(DomainError):
             integrate_unit_batch(-1.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
 
-    # values and counts of the rule that evaluates each level on its own, as
-    # float.hex: levels 0-2 share one smooth call, and max_levels still cuts
-    # the sweep short (below 1 it still runs level 0); one row, then four rows
-    # with their own integrands
-    @pytest.mark.parametrize("max_levels,one,rows", [
-        *((levels, ("0x1.9d4cddd356e31p-3", 11, False),
-           (["0x1.0d635c0aafa00p+0", "0x1.20fb0a244fbdap-1", "0x1.c3345f19e0083p-6",
-             "0x1.bfb3d62cbf442p-8"], 12, [False, False, False, False]))
-          for levels in (0, 1)),
-        (2, ("0x1.5588f685526f8p-3", 23, False),
-         (["0x1.0b490becafc2dp+0", "0x1.1827534399b0bp-1", "0x1.5ae4dc100bb9ap-5",
-           "0x1.e7d59fff4223fp-9"], 25, [False, False, False, False])),
-        (3, ("0x1.55555555e5694p-3", 45, False),
-         (["0x1.0b48ecae84cb6p+0", "0x1.182809ef3510fp-1", "0x1.589e23a443028p-5",
-           "0x1.d087326632ef9p-9"], 50, [True, True, False, False])),
-    ])
-    def test_first_levels_respect_max_levels(self, max_levels, one, rows):
-        batch = integrate_unit_batch(1.0, 1.0, lambda t, one_minus_t, rows: 1.0, 1,
-                                     max_levels=max_levels)
-        value, evaluations, converged = one
-        assert batch.value[0] == float.fromhex(value)
-        assert batch.evaluations[0] == evaluations
-        assert batch.converged[0] == converged
-        with pytest.raises(ConvergenceError) as err:
-            integrate_unit(IntegrandSpec(1.0, 1.0, lambda t: np.ones_like(t)),
-                           max_levels=max_levels)
-        assert err.value.result.value == float.fromhex(value)
-        assert err.value.result.evaluations == evaluations
-
-        rates = np.array([0.0, 1.0, 8.0, 40.0])
-        batch = integrate_unit_batch(0.5, -0.3, lambda t, one_minus_t, active:
-                                     np.exp(-rates[active][:, None] * t), 4, tol=1e-3,
-                                     max_levels=max_levels)
-        values, evaluations, converged = rows
-        assert batch.value.tolist() == [float.fromhex(v) for v in values]
-        assert batch.evaluations.tolist() == [evaluations] * 4
-        assert batch.converged.tolist() == converged
-
     def test_weights_are_cached_read_only_and_only_where_reached(self):
         from bibeta.special import _weighted_nodes
         _weighted_nodes.cache_clear()
@@ -202,14 +171,14 @@ class TestIntegrateUnitBatch:
         batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
         assert batch.converged[0]
         assert _weighted_nodes.cache_info().currsize == 2
-        fused = _weighted_nodes((0, 1, 2), 1.0, 1.0, 2 ** 14)
-        assert fused is _weighted_nodes((0, 1, 2), 1.0, 1.0, 2 ** 14)
+        fused = _weighted_nodes((0, 1, 2), 1.0, 1.0)
+        assert fused is _weighted_nodes((0, 1, 2), 1.0, 1.0)
         assert _weighted_nodes.cache_info().currsize == 2
         t, _, w, zeros, ends = fused
         assert not any(a.flags.writeable for a in fused[:3])
         assert not zeros.flags.writeable
         assert ends[-1] == t.size == w.size == batch.evaluations[0] - _weighted_nodes(
-            (3,), 1.0, 1.0, 2 ** 14)[0].size
+            (3,), 1.0, 1.0)[0].size
         assert _weighted_nodes.cache_info().maxsize is not None
 
 
