@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import _OPEN_HI, _OPEN_LO, RandomStream, _check_count, _check_positive
-from .errors import DomainError
+from .construction import (_OPEN_HI, _OPEN_LO, RandomStream, _check_count, _check_positive,
+                           _finite_rows)
+from .density import _require_inside
 from .special import ln_beta_multi
 
 __all__ = [
@@ -70,21 +71,6 @@ class ArnoldParams:
             object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
 
 
-def _check_n(n) -> int:
-    n = _check_count("n", n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n!r}")
-    return n
-
-
-def _check_point(x, y):
-    for name, v in (("x", x), ("y", y)):
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        raise DomainError(f"point ({x}, {y}) is outside the open unit square")
-
-
 def _gamma_ratio_pairs(n, stream: RandomStream, shapes, ratios) -> np.ndarray:
     """n pairs ``ratios(*g)`` of unit-scale Gamma(shape) draws ``g``, one
     array per entry of ``shapes``, drawn in that order.
@@ -93,22 +79,11 @@ def _gamma_ratio_pairs(n, stream: RandomStream, shapes, ratios) -> np.ndarray:
     0) is drawn again, up to 8 times.  The pairs are clipped into the open
     unit square.
     """
-    n = _check_n(n)
-    gen = stream.generator
-    out = np.empty((n, 2))
-    todo = np.arange(n)
-    for _ in range(8):
-        g = [gen.standard_gamma(a, size=todo.size) for a in shapes]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            x, y = ratios(*g)
-        out[todo, 0] = x
-        out[todo, 1] = y
-        todo = todo[~(np.isfinite(x) & np.isfinite(y))]
-        if todo.size == 0:
-            break
-    else:
-        raise DomainError("sampler kept producing degenerate gamma draws")
-    return np.clip(out, _OPEN_LO, _OPEN_HI)
+    def draw(m):
+        return np.column_stack(ratios(*(stream.generator.standard_gamma(a, size=m)
+                                        for a in shapes)))
+
+    return np.clip(_finite_rows(_check_count("n", n, 1), draw), _OPEN_LO, _OPEN_HI)
 
 
 def sample_libby_novick(p: LibbyNovickParams, n: int, stream: RandomStream) -> np.ndarray:
@@ -122,7 +97,8 @@ def sample_libby_novick(p: LibbyNovickParams, n: int, stream: RandomStream) -> n
 
 def pdf_libby_novick(p: LibbyNovickParams, x: float, y: float) -> float:
     """Density of the shared-denominator gamma-ratio pair at (x, y)."""
-    _check_point(x, y)
+    x, y = float(x), float(y)
+    _require_inside(x, y)
     l1, l2 = p.lambda1, p.lambda2
     s = p.a0 + p.a1 + p.a2
     ln_f = (-ln_beta_multi((p.a0, p.a1, p.a2))
@@ -135,7 +111,8 @@ def pdf_libby_novick(p: LibbyNovickParams, x: float, y: float) -> float:
 def pdf_three_param(a0: float, a1: float, a2: float, x: float, y: float) -> float:
     """Density of the equal-rates reduction, with denominator (1-xy)^(a0+a1+a2)."""
     a0, a1, a2 = (_check_positive(f"a{i}", v) for i, v in enumerate((a0, a1, a2)))
-    _check_point(x, y)
+    x, y = float(x), float(y)
+    _require_inside(x, y)
     s = a0 + a1 + a2
     ln_f = (-ln_beta_multi((a0, a1, a2))
             + (a1 - 1.0) * math.log(x) + (a0 + a2 - 1.0) * math.log1p(-x)

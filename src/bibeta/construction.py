@@ -45,6 +45,24 @@ def _check_positive(name: str, value) -> float:
     return float(value)
 
 
+def _check_count(name: str, value, least: int = 0) -> int:
+    """``value`` as an int: a Python or numpy integer, not ``bool``, and at
+    least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _check_seed(seed) -> int:
+    """``seed`` as an int: a count below 2**64."""
+    seed = _check_count("seed", seed)
+    if seed >= 2 ** 64:
+        raise DomainError(f"seed must be < 2**64, got {seed!r}")
+    return seed
+
+
 @dataclass(frozen=True)
 class AlphaBivariate:
     """Dirichlet weights of the four shares, all strictly positive."""
@@ -138,13 +156,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-            raise DomainError(f"seed must be an integer, got {seed!r}")
-        seed = int(seed)
-        if not 0 <= seed < 2 ** 64:
-            raise DomainError(f"seed must fit in 64 bits, got {seed!r}")
-        self.seed = seed
-        self._generator = np.random.Generator(np.random.PCG64(seed))
+        self.seed = _check_seed(seed)
+        self._generator = np.random.Generator(np.random.PCG64(self.seed))
 
     @property
     def generator(self) -> np.random.Generator:
@@ -152,14 +165,6 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed})"
-
-
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise DomainError(f"{name} must be >= 0, got {value!r}")
-    return int(value)
 
 
 def _row_totals(draws: np.ndarray) -> np.ndarray:
@@ -177,20 +182,33 @@ def _row_totals(draws: np.ndarray) -> np.ndarray:
 
 
 def _gamma_rows(a: np.ndarray, n: int, stream: RandomStream):
-    """(n, k) independent Gamma(a_j) draws and their row totals.
-
-    A row whose every draw underflowed to 0, possible only for extreme tiny
-    weights, is drawn again, up to 8 times.
-    """
+    """(n, k) independent Gamma(a_j) draws and their row totals."""
     draws = stream.generator.standard_gamma(a, size=(n, a.size))
-    totals = _row_totals(draws)
-    for _ in range(8):
-        dead = totals == 0.0
-        if not dead.any():
-            break
-        draws[dead] = stream.generator.standard_gamma(a, size=(int(dead.sum()), a.size))
-        totals = _row_totals(draws)
-    return draws, totals
+    return draws, _row_totals(draws)
+
+
+def _finite_rows(n: int, draw) -> np.ndarray:
+    """``draw(n)``, an (n, k) array of sampled rows, with every row that
+    holds a non-finite entry drawn again by ``draw(m)``, for the m such
+    rows in order, up to 8 times; ``DomainError`` if one is still left.
+
+    Such a row comes from gamma draws that all underflowed to 0, possible
+    only for extreme tiny weights, and its 0/0 runs silently here.  One
+    whole-array test passes the first draw; row indices are built only when
+    it fails, from the flat indices of the bad entries.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = draw(n)
+        if np.isfinite(out).all():
+            return out
+        todo, rows = np.arange(n), out
+        for _ in range(8):
+            todo = todo[np.unique(np.flatnonzero(~np.isfinite(rows)) // rows.shape[1])]
+            rows = draw(todo.size)
+            out[todo] = rows
+            if np.isfinite(rows).all():
+                return out
+    raise DomainError("sampler kept producing degenerate gamma draws")
 
 
 def sample_dirichlet(alphas, stream: RandomStream, size=None):
@@ -205,8 +223,13 @@ def sample_dirichlet(alphas, stream: RandomStream, size=None):
     if a.size < 2:
         raise DomainError("sample_dirichlet needs at least two components")
     n = 1 if size is None else _check_count("size", size)
-    draws, totals = _gamma_rows(a, n, stream)
-    draws /= totals[:, None]
+
+    def draw(m):
+        draws, totals = _gamma_rows(a, m, stream)
+        draws /= totals[:, None]
+        return draws
+
+    draws = _finite_rows(n, draw)
     return draws[0] if size is None else draws
 
 
@@ -217,14 +240,18 @@ def _sum_shares(a: np.ndarray, n: int, stream: RandomStream, cells) -> np.ndarra
     Only the shares some cell uses are divided by the row total, in place,
     and the sums are written straight into the output.
     """
-    draws, totals = _gamma_rows(a, n, stream)
-    for j in sorted({j for cell in cells for j in cell}):
-        np.divide(draws[:, j], totals, out=draws[:, j])
-    out = np.empty((n, len(cells)))
-    for col, (first, second, *rest) in enumerate(cells):
-        np.add(draws[:, first], draws[:, second], out=out[:, col])
-        for j in rest:
-            out[:, col] += draws[:, j]
+    def draw(m):
+        draws, totals = _gamma_rows(a, m, stream)
+        for j in sorted({j for cell in cells for j in cell}):
+            np.divide(draws[:, j], totals, out=draws[:, j])
+        out = np.empty((m, len(cells)))
+        for col, (first, second, *rest) in enumerate(cells):
+            np.add(draws[:, first], draws[:, second], out=out[:, col])
+            for j in rest:
+                out[:, col] += draws[:, j]
+        return out
+
+    out = _finite_rows(n, draw)
     return np.clip(out, _OPEN_LO, _OPEN_HI, out=out)
 
 

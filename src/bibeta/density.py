@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construction import AlphaBivariate
+from .construction import AlphaBivariate, _check_count, _check_positive
 from .errors import ConvergenceError, DomainError
 # integrate_unit stays bound here: perfbench/tracing.py wraps it by name
 from .special import (appell_f1, hyp2f1, integrate_unit,  # noqa: F401
@@ -124,10 +124,7 @@ class DensityValue:
                 f"evaluations={self.evaluations!r})")
 
 
-def _require_inside(x: float, y: float, tol: float) -> None:
-    # tol first, so a bad one fails at every point, cut lines included
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+def _require_inside(x: float, y: float) -> None:
     if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
         raise DomainError(f"point ({x!r}, {y!r}) lies outside the open unit square")
 
@@ -237,7 +234,9 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
     carrying the best ``DensityValue``, if the rule runs out of levels.
     """
     x, y = float(x), float(y)
-    _require_inside(x, y, tol)
+    # tol first, so a bad one fails at every point, cut lines included
+    tol = _check_positive("tol", tol)
+    _require_inside(x, y)
     d = _sum_minus_one(x, y)
     value, error, converged, evaluations, diverged = _density_batch(
         alpha, (np.sign(d), np.sign(x - y)), x, y, d, tol)
@@ -347,7 +346,8 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
     2F1 on the cut lines runs one decade tighter.
     """
     x, y = float(x), float(y)
-    _require_inside(x, y, tol)
+    tol = _check_positive("tol", tol)
+    _require_inside(x, y)
     d = _sum_minus_one(x, y)
     if d > 0.0:
         alpha, x, y, d = alpha.reflected(), 1.0 - x, 1.0 - y, -d
@@ -384,8 +384,7 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
     ``DomainError`` if any point lies off the open square or for a bad
     ``tol``; ``ConvergenceError`` if any point runs out of levels.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    tol = _check_positive("tol", tol)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape = x.shape
     x, y = x.ravel(), y.ravel()
@@ -427,11 +426,7 @@ def pdf_grid(alpha: AlphaBivariate, resolution: int = 100,
     unconverged cell raises ``ConvergenceError``.  ``resolution`` must be an
     integer >= 2, or ``DomainError``.
     """
-    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
-        raise DomainError(f"resolution must be an integer, got {resolution!r}")
-    resolution = int(resolution)
-    if resolution < 2:
-        raise DomainError(f"resolution must be >= 2, got {resolution!r}")
+    resolution = _check_count("resolution", resolution, 2)
     axis = (np.arange(resolution) + 0.5) / resolution
     x = np.repeat(axis, resolution)
     y = np.tile(axis, resolution)

@@ -15,12 +15,12 @@ to converge, up to ``FitOptions.restarts`` starts in all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import AlphaBivariate
+from .construction import (AlphaBivariate, RandomStream, _check_count, _check_positive,
+                           _check_seed)
 from .errors import DegenerateDataError, DomainError, InfeasibleMomentsError
 # central_moment stays bound: perfbench/tracing.py wraps it by name, failing if it is missing
 from .moments import MomentVector, central_moment, moment_vector  # noqa: F401
@@ -49,10 +49,6 @@ _MAX_STEP = 2.0
 _SUM_LEAF = 1 << 14
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class FitOptions:
     """``objective_tolerance`` is relative: a solve settles once an accepted
@@ -64,15 +60,11 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.restarts) and self.restarts >= 1):
-            raise DomainError(f"restarts must be an integer >= 1, got {self.restarts!r}")
-        if not (_is_int(self.max_iterations) and self.max_iterations >= 1):
-            raise DomainError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
-        tol = self.objective_tolerance
-        if not ((_is_int(tol) or isinstance(tol, float)) and math.isfinite(tol) and tol > 0.0):
-            raise DomainError(f"objective_tolerance must be a finite number > 0, got {tol!r}")
-        if not (_is_int(self.seed) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        for name in ("restarts", "max_iterations"):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), 1))
+        object.__setattr__(self, "objective_tolerance",
+                           _check_positive("objective_tolerance", self.objective_tolerance))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -393,7 +385,7 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
             return np.vstack((_five_jacobian(alpha), _third_jacobian(alpha)))
 
     theta_base = np.log(initial_guess(m).as_array())
-    rng = np.random.Generator(np.random.PCG64(opts.seed))
+    rng = RandomStream(opts.seed).generator
     best = None
     nit = nfev = 0
     for used in range(1, opts.restarts + 1):

@@ -8,17 +8,17 @@ because the node density grows double-exponentially towards both endpoints.
 ``t`` and ``1 - t`` are both derived in log form straight from ``u``, so the
 endpoint powers stay accurate where ``t`` itself would round to 0 or 1.
 The rule runs at most 10 levels, each with its node index capped at 2**14
-on either side.  The node tables depend only on the level and the node
-caps, so they are built once, on first use, and shared:
-``integrate_unit_batch`` sweeps many integrands with the same endpoint
-exponents over them at once, and ``integrate_unit`` is a batch of one.
+on either side.  ``integrate_unit_batch`` sweeps many integrands with the
+same endpoint exponents over one set of nodes at once, and
+``integrate_unit`` is a batch of one.
 
-The endpoint weights ``exp(p1*log t + q1*log(1-t) + log(pi cosh u))`` are
-cached too, per (levels, p + 1, q + 1), in a least-recently-used cache of at
-most 256 read-only entries, each filled only when a call first reaches its
-levels.  Every row runs levels 0-2 before the stopping rule may end it, so
-those three levels form one entry: their nodes go through the smooth factor
-in one call, and the three level sums are taken by slices.
+The nodes and their endpoint weights ``exp(p1*log t + q1*log(1-t) +
+log(pi cosh u))`` are cached per (levels, p + 1, q + 1), in a
+least-recently-used cache of at most 256 read-only entries, each filled
+only when a call first reaches its levels.  Every row runs levels 0-2
+before the stopping rule may end it, so those three levels form one entry:
+their nodes go through the smooth factor in one call, and the three level
+sums are taken by slices.
 Each later level is an entry of its own.  An entry also holds the indices of
 the nodes whose weight underflows to 0; those nodes add nothing, whatever the
 smooth factor is there.  Where ``smooth`` gives every row the same factors,
@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .construction import _check_positive
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
@@ -69,12 +70,9 @@ _NODE_BUDGET = 2 ** 14
 
 def ln_beta_multi(alphas: Sequence[float]) -> float:
     """Log of the multivariate beta function: sum(lgamma) - lgamma(sum)."""
-    vals = [float(a) for a in alphas]
+    vals = [_check_positive("ln_beta_multi component", a) for a in alphas]
     if len(vals) < 2:
         raise DomainError("ln_beta_multi needs at least two components")
-    for a in vals:
-        if not (math.isfinite(a) and a > 0.0):
-            raise DomainError(f"ln_beta_multi components must be finite and > 0, got {a!r}")
     return math.fsum(math.lgamma(a) for a in vals) - math.lgamma(math.fsum(vals))
 
 
@@ -98,27 +96,6 @@ def _node_cap(h: float, c: float) -> int:
 
 
 @functools.lru_cache(maxsize=256)
-def _node_table(level: int, k_left: int, k_right: int):
-    """Read-only ``(log t, log(1-t), log(pi cosh u), t, 1-t)``, the last two
-    clipped into (0, 1), at the nodes level ``level`` adds: every integer
-    node at level 0, the odd multiples of the halved mesh after that.  They
-    depend on nothing else, so every integrand there shares them."""
-    if level == 0:
-        k = np.arange(-k_left, k_right + 1)
-    else:
-        k = np.concatenate((np.arange(-1, -k_left - 1, -2), np.arange(1, k_right + 1, 2)))
-    u = k * 2.0 ** -level
-    g = math.pi * np.sinh(u)
-    log_t = -np.logaddexp(0.0, -g)       # log sigmoid(g)
-    log_1mt = -np.logaddexp(0.0, g)
-    log_jac = np.log(math.pi * np.cosh(u))
-    t, one_minus_t = (np.clip(np.exp(v), _T_LO, _T_HI) for v in (log_t, log_1mt))
-    for a in (log_t, log_1mt, log_jac, t, one_minus_t):
-        a.flags.writeable = False
-    return log_t, log_1mt, log_jac, t, one_minus_t
-
-
-@functools.lru_cache(maxsize=256)
 def _weighted_nodes(levels: tuple, p1: float, q1: float):
     """Read-only ``(t, 1-t, weight, zeros, ends)`` over the nodes that
     ``levels`` add, concatenated in that order, with ``weight = exp(p1*log t
@@ -127,9 +104,20 @@ def _weighted_nodes(levels: tuple, p1: float, q1: float):
     ``ends[i]``.  Filled only for the levels a call reaches."""
     parts = []
     for level in levels:
+        # every integer node at level 0, the odd multiples of the halved
+        # mesh after that
         h = 2.0 ** -level
-        log_t, log_1mt, log_jac, t, one_minus_t = _node_table(
-            level, _node_cap(h, p1), _node_cap(h, q1))
+        k_left, k_right = _node_cap(h, p1), _node_cap(h, q1)
+        if level == 0:
+            k = np.arange(-k_left, k_right + 1)
+        else:
+            k = np.concatenate((np.arange(-1, -k_left - 1, -2), np.arange(1, k_right + 1, 2)))
+        u = k * h
+        g = math.pi * np.sinh(u)
+        log_t = -np.logaddexp(0.0, -g)       # log sigmoid(g)
+        log_1mt = -np.logaddexp(0.0, g)
+        log_jac = np.log(math.pi * np.cosh(u))
+        t, one_minus_t = (np.clip(np.exp(v), _T_LO, _T_HI) for v in (log_t, log_1mt))
         parts.append((t, one_minus_t, np.exp(p1 * log_t + q1 * log_1mt + log_jac)))
     if len(parts) == 1:
         t, one_minus_t, w = parts[0]
@@ -184,8 +172,7 @@ def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right:
     (0, 1) and must be finite there.  Each row stops on the rule of
     ``integrate_unit``; the rest go on to finer levels.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
+    tol = _check_positive("tol", tol)
     for e in (endpoint_exponent_left, endpoint_exponent_right):
         if not (math.isfinite(e) and e > -1.0):
             raise DomainError(f"endpoint exponents must be finite and > -1, got {e!r}")

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from bibeta import construction
-from bibeta.baselines import ArnoldParams, LibbyNovickParams, pdf_three_param
+from bibeta.baselines import ArnoldParams, LibbyNovickParams, pdf_libby_novick, pdf_three_param
 from bibeta.construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
                                  sample_bivariate, sample_dirichlet, sample_trivariate)
+from bibeta.density import pdf, pdf_closed_form, pdf_grid, pdf_points
 from bibeta.errors import DomainError
+from bibeta.fitting import FitOptions
 from bibeta.moments import correlation, moment_vector
+from bibeta.special import integrate_unit, ln_beta_multi
 
 
 class TestAlphaBivariate:
@@ -279,3 +282,76 @@ class TestPositiveParameters:
         assert got == make(2.0)
         if dataclasses.is_dataclass(got):
             assert all(type(v) is float for v in dataclasses.astuple(got))
+
+
+# every public entry point takes the same numbers: numpy ones wherever Python
+# ones go, and never a bool or a string, tolerances included
+_A = AlphaBivariate(2, 3, 4, 5)
+_ACCEPTED = {
+    "pdf_three_param": lambda: pdf_three_param(2, 3, 4, np.float32(0.3), 0.4),
+    "pdf_libby_novick": lambda: pdf_libby_novick(LibbyNovickParams(2, 3, 4), np.float32(0.3),
+                                                 np.float64(0.4)),
+    "FitOptions.restarts": lambda: FitOptions(restarts=np.int64(2)),
+    "FitOptions.max_iterations": lambda: FitOptions(max_iterations=np.int64(5)),
+    "FitOptions.seed": lambda: FitOptions(seed=np.int64(2)),
+    "FitOptions.objective_tolerance": lambda: FitOptions(objective_tolerance=np.float32(1e-9)),
+}
+_TOL_TAKERS = {
+    "pdf": lambda tol: pdf(_A, 0.3, 0.6, tol=tol),
+    "pdf_points": lambda tol: pdf_points(_A, [0.3], [0.6], tol=tol),
+    "pdf_grid": lambda tol: pdf_grid(_A, 2, tol=tol),
+    "pdf_closed_form": lambda tol: pdf_closed_form(_A, 0.3, 0.6, tol=tol),
+    "integrate_unit": lambda tol: integrate_unit(0.0, 0.0, np.ones_like, tol=tol),
+    "FitOptions": lambda tol: FitOptions(objective_tolerance=tol),
+}
+_REJECTED = {f"{name}(tol={tol!r})": (lambda f=f, tol=tol: f(tol))
+             for name, f in _TOL_TAKERS.items() for tol in (True, "1e-8")}
+_REJECTED["ln_beta_multi"] = lambda: ln_beta_multi(["2", True])
+
+
+@pytest.mark.parametrize("call, accepted",
+                         [(f, True) for f in _ACCEPTED.values()]
+                         + [(f, False) for f in _REJECTED.values()],
+                         ids=list(_ACCEPTED) + list(_REJECTED))
+def test_one_rule_per_kind_of_input(call, accepted):
+    if accepted:
+        call()
+    else:
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_fit_options_store_normalised_values():
+    opts = FitOptions(restarts=np.int64(2), max_iterations=np.int32(5),
+                      objective_tolerance=1, seed=np.uint64(3))
+    assert [type(v) for v in dataclasses.astuple(opts)] == [int, int, float, int]
+    assert dataclasses.astuple(opts) == (2, 5, 1.0, 3)
+
+
+_SAMPLERS = {
+    "sample_dirichlet": lambda w, n: sample_dirichlet([w] * 4, RandomStream(0), size=n),
+    "sample_bivariate": lambda w, n: sample_bivariate(AlphaBivariate(w, w, w, w), n,
+                                                      RandomStream(0)),
+    "sample_trivariate": lambda w, n: sample_trivariate(AlphaTrivariate(*[w] * 8), n,
+                                                        RandomStream(0)),
+}
+
+
+class TestDegenerateGammaDraws:
+    """A row whose gamma draws all underflow is drawn again, up to 8 times;
+    past that the sampler raises rather than return a NaN row."""
+
+    @pytest.mark.parametrize("sample", _SAMPLERS.values(), ids=_SAMPLERS)
+    def test_weights_too_small_to_draw_raise(self, sample):
+        with pytest.raises(DomainError, match="degenerate gamma draws"):
+            sample(1e-4, 10 ** 5)
+
+    @pytest.mark.parametrize("sample", _SAMPLERS.values(), ids=_SAMPLERS)
+    def test_small_weights_give_rows_inside_the_unit_interval(self, sample):
+        rows = sample(1e-3, 10 ** 5)
+        assert np.isfinite(rows).all()
+        if sample is _SAMPLERS["sample_dirichlet"]:
+            # a share may underflow to exactly 0 within a finite row
+            assert np.all((rows >= 0.0) & (rows <= 1.0))
+        else:
+            assert np.all((rows > 0.0) & (rows < 1.0))

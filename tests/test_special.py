@@ -101,15 +101,9 @@ class TestIntegrateUnitBatch:
             assert batch.evaluations[i] == one.evaluations
         assert len(set(batch.evaluations)) > 1
 
-    def test_node_tables_are_shared_and_read_only(self):
-        from bibeta.special import _node_table
-        tables = _node_table(3, 40, 40)
-        assert tables is _node_table(3, 40, 40)
-        assert not any(a.flags.writeable for a in tables)
-
     def test_one_minus_t_stays_positive_where_t_rounds_to_1(self):
-        from bibeta.special import _node_table
-        _, log_1mt, _, t, one_minus_t = _node_table(0, 40, 40)
+        from bibeta.special import _weighted_nodes
+        t, one_minus_t, *_ = _weighted_nodes((0, 1, 2), 1.0, 1.0)
         last = t == np.nextafter(1.0, 0.0)
         assert last.any()
         assert np.all(one_minus_t > 0.0)
