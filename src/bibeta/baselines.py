@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construction import (_OPEN_HI, _OPEN_LO, RandomStream, _check_count, _check_positive,
-                           _finite_rows)
-from .density import _require_inside
+from .construction import (_OPEN_HI, _OPEN_LO, RandomStream, _check_count, _check_point,
+                           _check_positive, _finite_rows)
 from .special import ln_beta_multi
 
 __all__ = [
@@ -97,8 +96,7 @@ def sample_libby_novick(p: LibbyNovickParams, n: int, stream: RandomStream) -> n
 
 def pdf_libby_novick(p: LibbyNovickParams, x: float, y: float) -> float:
     """Density of the shared-denominator gamma-ratio pair at (x, y)."""
-    x, y = float(x), float(y)
-    _require_inside(x, y)
+    x, y = _check_point(x, y)
     l1, l2 = p.lambda1, p.lambda2
     s = p.a0 + p.a1 + p.a2
     ln_f = (-ln_beta_multi((p.a0, p.a1, p.a2))
@@ -111,8 +109,7 @@ def pdf_libby_novick(p: LibbyNovickParams, x: float, y: float) -> float:
 def pdf_three_param(a0: float, a1: float, a2: float, x: float, y: float) -> float:
     """Density of the equal-rates reduction, with denominator (1-xy)^(a0+a1+a2)."""
     a0, a1, a2 = (_check_positive(f"a{i}", v) for i, v in enumerate((a0, a1, a2)))
-    x, y = float(x), float(y)
-    _require_inside(x, y)
+    x, y = _check_point(x, y)
     s = a0 + a1 + a2
     ln_f = (-ln_beta_multi((a0, a1, a2))
             + (a1 - 1.0) * math.log(x) + (a0 + a2 - 1.0) * math.log1p(-x)

@@ -45,6 +45,19 @@ def _check_positive(name: str, value) -> float:
     return float(value)
 
 
+def _check_point(x, y) -> tuple[float, float]:
+    """``(x, y)`` as floats: each a Python or numpy int or float, never a
+    ``bool`` or a string, and the point strictly inside the open unit
+    square."""
+    for v in (x, y):
+        if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+            raise DomainError(f"point coordinates must be real numbers, got {v!r}")
+    x, y = float(x), float(y)
+    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
+        raise DomainError(f"point ({x!r}, {y!r}) lies outside the open unit square")
+    return x, y
+
+
 def _check_count(name: str, value, least: int = 0) -> int:
     """``value`` as an int: a Python or numpy integer, not ``bool``, and at
     least ``least``."""

@@ -9,8 +9,18 @@ of the common share u:
 
 ``pdf``, also named ``pdf_quadrature``, is the integral, rescaled to (0, 1)
 with every distance to an end of the share range formed without
-cancellation, under the tanh-sinh rule.  ``pdf_points`` batches it over
-arrays of points, and ``pdf_grid`` is ``pdf_points`` on a lattice.
+cancellation, under the Gauss-Jacobi kernel
+``special.integrate_jacobi_batch``.  Each sign pattern of (x + y - 1, x - y)
+fixes which factors vanish at the ends of the share range; their powers are
+the kernel's Jacobi weight.  Each other factor has a branch point at a
+distance from its end that the point fixes, and the kernel maps an end
+where that distance is below 0.05.  A factor counts only where its exponent
+is not a non-negative integer and, added to the endpoint power at its end,
+is below 4; a smoother end is left to the plain rule, which resolves it
+sooner than the map would.  ``pdf_points`` batches it over arrays of points
+in kernel calls of up to ``_CHUNK`` = 2048 points of one sign pattern, and
+``pdf_grid`` is ``pdf_points`` on a lattice; a batch of one takes the same
+steps on numpy scalars, so all three agree bit for bit.
 ``pdf_closed_form`` keeps the paper's hypergeometric expression (Appell F1
 off the diagonals, Gauss 2F1 on them) as a reference.  The unit square
 splits into four open triangles, cut by x = y and x + y = 1, and the closed
@@ -39,11 +49,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .construction import AlphaBivariate, _check_count, _check_positive
+from .construction import AlphaBivariate, _check_count, _check_point, _check_positive
 from .errors import ConvergenceError, DomainError
 # integrate_unit stays bound here: perfbench/tracing.py wraps it by name
-from .special import (appell_f1, hyp2f1, integrate_unit,  # noqa: F401
-                      integrate_unit_batch, ln_beta_multi)
+from .special import (appell_f1, hyp2f1, integrate_jacobi_batch,  # noqa: F401
+                      integrate_unit, ln_beta_multi)
 
 __all__ = [
     "DensityValue",
@@ -68,8 +78,9 @@ def _sum_minus_one(x, y):
 
 _METHODS = ("closed_form", "quadrature")
 
-# points per batched kernel call: bounds the (points x nodes) arrays
-_CHUNK = 256
+# points per batched kernel call: bounds the (points x nodes) arrays, at
+# most 3 pieces of 64 nodes a row, so about 3 MB each
+_CHUNK = 2048
 
 
 class DensityValue:
@@ -124,11 +135,6 @@ class DensityValue:
                 f"evaluations={self.evaluations!r})")
 
 
-def _require_inside(x: float, y: float) -> None:
-    if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-        raise DomainError(f"point ({x!r}, {y!r}) lies outside the open unit square")
-
-
 class _Integrand(NamedTuple):
     """The parts of one weight set's integrand that a sign pattern of
     (x + y - 1, x - y) fixes, whatever the point."""
@@ -137,7 +143,25 @@ class _Integrand(NamedTuple):
     q: float
     share_exp: float | None  # exponent of u or 1-x-y+u, unless it vanishes at t = 0
     gap_exp: float | None    # exponent of x-u or y-u, unless it vanishes at t = 1
+    share_branch: bool       # whether the kernel maps the end of that
+    gap_branch: bool         # factor's branch point (``_branches``)
     ln_beta: float           # ln B(a11, a10, a01, a00)
+    size: float              # the point-free part of the rounding bound
+
+
+# the rounding bound of a density, relative: _ROUNDING times the magnitudes
+# its logarithm is summed from and the exponents that amplify the rounding
+# of the integrand's factors
+_ROUNDING = 4.0 * float(np.finfo(float).eps)
+
+
+def _branches(e: float | None, e_end: float) -> bool:
+    # whether the kernel should map the end where a factor with exponent e
+    # meets the endpoint power e_end: not for a polynomial factor, nor where
+    # the two behave like s**(sigma - 1) with sigma = e_end + e + 1 >= 5,
+    # which the plain rule settles within its ladder while the mapped
+    # factor exp(sigma * w * L) may not
+    return e is not None and not (e >= 0.0 and e == int(e)) and e_end + e + 1.0 < 5.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -145,7 +169,10 @@ def _integrands(alpha: AlphaBivariate) -> types.MappingProxyType:
     """Read-only ``_Integrand`` of every sign pattern, keyed by
     ``(sign(x + y - 1), sign(x - y))``, or None where the integral
     diverges."""
-    ln_beta = ln_beta_multi((alpha.a11, alpha.a10, alpha.a01, alpha.a00))
+    weights = (alpha.a11, alpha.a10, alpha.a01, alpha.a00)
+    ln_beta = ln_beta_multi(weights)
+    ln_beta_size = (math.fsum(abs(math.lgamma(a)) for a in weights)
+                    + abs(math.lgamma(math.fsum(weights))))
     out = {}
     for d0, s0 in itertools.product((-1.0, 0.0, 1.0), repeat=2):
         # which factors vanish at the ends: u or 1-x-y+u at t = 0, x-u or
@@ -159,22 +186,33 @@ def _integrands(alpha: AlphaBivariate) -> types.MappingProxyType:
             continue
         share = None if d0 == 0.0 else alpha.a11 - 1.0 if d0 > 0.0 else alpha.a00 - 1.0
         gap = None if s0 == 0.0 else alpha.a10 - 1.0 if s0 > 0.0 else alpha.a01 - 1.0
-        out[d0, s0] = _Integrand(p, q, share, gap, ln_beta)
+        size = 1.0 + ln_beta_size + abs(p) + abs(q) + sum(abs(e) for e in (share, gap) if e)
+        out[d0, s0] = _Integrand(p, q, share, gap, _branches(share, p), _branches(gap, q),
+                                 ln_beta, size)
     return types.MappingProxyType(out)
 
 
 def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
     """Density at points that share the sign pattern ``signs`` of (d, x - y),
     with d = x + y - 1 from ``_sum_minus_one``: the share-range integral,
-    rescaled to (0, 1), from ``integrate_unit_batch``, times its prefactor.
+    rescaled to (0, 1), from ``integrate_jacobi_batch``, times its
+    prefactor.
 
     ``x``, ``y`` and ``d`` are 1-D arrays, or floats for a batch of one, which
     then steps through the kernel on scalars.  Every factor that vanishes at
     an endpoint moves into the endpoint exponents, which the pattern fixes;
-    the rest stays in the smooth part.  The exponents and ln B(alpha) are
-    formed once per weight set (``_integrands``).  Returns per-point
-    ``(value, error_estimate, converged, evaluations)`` arrays and whether
-    the integral diverges for the whole pattern; a divergent pattern reads
+    the rest stays in the smooth part, and the kernel gets the distance of
+    each remaining factor's branch point from its end of (0, 1): |d|/scale
+    for the share factor at t = 0, |x - y|/scale for the gap factor at
+    t = 1.  The exponents and ln B(alpha) are formed once per weight set
+    (``_integrands``).
+
+    The error estimate is the kernel's, carried through the prefactor, plus
+    a bound on the rounding: ``4 eps`` times the magnitudes the density's
+    logarithm is summed from (the log-gammas of ln B(alpha) among them) and
+    the exponents of the integrand's factors.  Returns per-point ``(value,
+    error_estimate, converged, evaluations)`` arrays and whether the
+    integral diverges for the whole pattern; a divergent pattern reads
     ``(inf, 0, True, 0)`` without integrating.  A convergent integral whose
     density overflows also reads ``inf``.
     """
@@ -184,22 +222,33 @@ def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
     if integrand is None:
         return (np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool),
                 np.zeros(n, dtype=np.int64), True)
-    # the share range runs from max(0, d) up to min(x, y)
-    scale = 1.0 - np.maximum(x, y) if signs[0] > 0.0 else np.minimum(x, y)
+    # the share range runs from max(0, d) up to min(x, y); max, min, abs and
+    # / on floats round as numpy's do, so a batch of one keeps its bits
+    if columns:
+        biggest, smallest, col = np.maximum, np.minimum, (lambda v: v[:, None])
+    else:
+        biggest, smallest, col = max, min, (lambda v: v)
+    scale = 1.0 - biggest(x, y) if signs[0] > 0.0 else smallest(x, y)
 
     # (base, slope, exponent, from_right): base + slope*t, or from the top
     # |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its digits
     # where both are subnormal (|d| never is); columns against the node row,
-    # or scalars for a batch of one, whose level sums then stay scalars
-    col = (lambda v: v[:, None]) if columns else (lambda v: v)
+    # or scalars for a batch of one, whose sums then stay scalars.  A branch
+    # distance past the float range (a subnormal scale) reads inf: far.
     terms, ln_unit = [], 0.0
-    if integrand.share_exp is not None:
-        terms.append((col(abs(d)), col(scale), integrand.share_exp, False))
-    if integrand.gap_exp is not None:
-        gap = abs(x - y)
-        unit = np.maximum(gap, scale)
-        terms.append((col(gap / unit), col(scale / unit), integrand.gap_exp, True))
-        ln_unit = integrand.gap_exp * np.log(unit)
+    branch_left = branch_right = None
+    with np.errstate(over="ignore"):
+        if integrand.share_exp is not None:
+            terms.append((col(abs(d)), col(scale), integrand.share_exp, False))
+            if integrand.share_branch:
+                branch_left = abs(d) / scale
+        if integrand.gap_exp is not None:
+            gap = abs(x - y)
+            unit = biggest(gap, scale)
+            terms.append((col(gap / unit), col(scale / unit), integrand.gap_exp, True))
+            ln_unit = integrand.gap_exp * np.log(unit)
+            if integrand.gap_branch:
+                branch_right = gap / scale
 
     def smooth(t, one_minus_t, rows):
         # no re-indexing while every row is active
@@ -213,17 +262,21 @@ def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
         return 1.0 if out is None else out
 
     p, q = integrand.p, integrand.q
-    batch = integrate_unit_batch(p, q, smooth, n, tol)
-    ln_pref = (1.0 + p + q) * np.log(scale) + ln_unit - integrand.ln_beta
+    batch = integrate_jacobi_batch(p, q, smooth, n, tol, branch_left, branch_right)
+    ln_scale = (1.0 + p + q) * np.log(scale)
     # in logs: a prefactor past the float range meets its integral first, and
     # a density that still overflows reads inf, not inf * 0 = nan in its error
-    with np.errstate(divide="ignore", over="ignore"):
-        value, error = np.exp(ln_pref + np.log((batch.value, batch.abs_error_estimate)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = np.log((batch.value, batch.abs_error_estimate))
+        value, error = np.exp(ln_scale + ln_unit - integrand.ln_beta + logs)
+        # at most 1: an integral that underflowed to 0 keeps its error
+        rounding = _ROUNDING * (integrand.size + abs(ln_scale) + abs(ln_unit) + abs(logs[0]))
+        error = error + value * np.minimum(rounding, 1.0)
     return value, error, batch.converged, batch.evaluations, False
 
 
 def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
-    """Density at (x, y) to relative tolerance ``tol``, by direct tanh-sinh
+    """Density at (x, y) to relative tolerance ``tol``, by Gauss-Jacobi
     integration over the share range, on the integrand ``pdf_grid`` uses, as
     a batch of one point.
 
@@ -231,12 +284,12 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
     ``diverged`` False where a finite density exceeds the float range, as
     near a corner with small weights; ``DomainError`` off the open square or
     for a ``tol`` that is not finite and positive; ``ConvergenceError``,
-    carrying the best ``DensityValue``, if the rule runs out of levels.
+    carrying the best ``DensityValue``, if neither the Gauss-Jacobi ladder
+    nor the tanh-sinh rule it falls back on settles.
     """
-    x, y = float(x), float(y)
     # tol first, so a bad one fails at every point, cut lines included
     tol = _check_positive("tol", tol)
-    _require_inside(x, y)
+    x, y = _check_point(x, y)
     d = _sum_minus_one(x, y)
     value, error, converged, evaluations, diverged = _density_batch(
         alpha, (np.sign(d), np.sign(x - y)), x, y, d, tol)
@@ -345,9 +398,8 @@ def pdf_closed_form(alpha: AlphaBivariate, x: float, y: float,
     ``tol`` is the relative tolerance of the Appell F1 integral; the Gauss
     2F1 on the cut lines runs one decade tighter.
     """
-    x, y = float(x), float(y)
     tol = _check_positive("tol", tol)
-    _require_inside(x, y)
+    x, y = _check_point(x, y)
     d = _sum_minus_one(x, y)
     if d > 0.0:
         alpha, x, y, d = alpha.reflected(), 1.0 - x, 1.0 - y, -d
@@ -379,13 +431,19 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
 
     Points are grouped by their sign pattern of (x + y - 1, x - y), which
     fixes the integrand's endpoint exponents, and each group runs through
-    ``pdf``'s integrand in batched kernel calls of up to 256 points.  Points
-    on the cut lines and the center follow ``pdf``'s rules.
-    ``DomainError`` if any point lies off the open square or for a bad
-    ``tol``; ``ConvergenceError`` if any point runs out of levels.
+    ``pdf``'s integrand in batched kernel calls of up to 2048 points.
+    Points on the cut lines and the center follow ``pdf``'s rules.
+    ``DomainError`` if any point lies off the open square, for coordinates
+    that numpy does not read as an integer or float array (strings, bools,
+    ``None``) or for a bad ``tol``; ``ConvergenceError`` if any point does
+    not settle.
     """
     tol = _check_positive("tol", tol)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    x, y = np.asarray(x), np.asarray(y)
+    if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
+        raise DomainError("point coordinates must be arrays of real numbers, got "
+                          f"{x.dtype} and {y.dtype}")
+    x, y = np.broadcast_arrays(x.astype(float, copy=False), y.astype(float, copy=False))
     shape = x.shape
     x, y = x.ravel(), y.ravel()
     inside = (0.0 < x) & (x < 1.0) & (0.0 < y) & (y < 1.0)

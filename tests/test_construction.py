@@ -12,7 +12,7 @@ from bibeta.density import pdf, pdf_closed_form, pdf_grid, pdf_points
 from bibeta.errors import DomainError
 from bibeta.fitting import FitOptions
 from bibeta.moments import correlation, moment_vector
-from bibeta.special import integrate_unit, ln_beta_multi
+from bibeta.special import appell_f1, hyp2f1, integrate_unit, ln_beta_multi
 
 
 class TestAlphaBivariate:
@@ -295,6 +295,9 @@ _ACCEPTED = {
     "FitOptions.max_iterations": lambda: FitOptions(max_iterations=np.int64(5)),
     "FitOptions.seed": lambda: FitOptions(seed=np.int64(2)),
     "FitOptions.objective_tolerance": lambda: FitOptions(objective_tolerance=np.float32(1e-9)),
+    "pdf": lambda: pdf(_A, np.float32(0.3), np.int64(0) + 0.6),
+    "pdf_closed_form": lambda: pdf_closed_form(_A, np.float64(0.3), 0.6),
+    "pdf_points": lambda: pdf_points(_A, np.array([0.3], dtype=np.float32), [0.6]),
 }
 _TOL_TAKERS = {
     "pdf": lambda tol: pdf(_A, 0.3, 0.6, tol=tol),
@@ -302,10 +305,24 @@ _TOL_TAKERS = {
     "pdf_grid": lambda tol: pdf_grid(_A, 2, tol=tol),
     "pdf_closed_form": lambda tol: pdf_closed_form(_A, 0.3, 0.6, tol=tol),
     "integrate_unit": lambda tol: integrate_unit(0.0, 0.0, np.ones_like, tol=tol),
+    "hyp2f1": lambda tol: hyp2f1(0.7, 1.3, 2.0, 0.5, tol=tol),
+    # a trivial case, which returns 1.0 without integrating
+    "appell_f1": lambda tol: appell_f1(1, 0, 0, 2, 0.5, 0.5, tol=tol),
     "FitOptions": lambda tol: FitOptions(objective_tolerance=tol),
+}
+# every density that takes a point, fed one bad coordinate
+_POINT_TAKERS = {
+    "pdf": lambda x: pdf(_A, x, 0.6),
+    "pdf_closed_form": lambda x: pdf_closed_form(_A, x, 0.6),
+    "pdf_points": lambda x: pdf_points(_A, [x], [0.6]),
+    "pdf_three_param": lambda x: pdf_three_param(2, 3, 4, x, 0.4),
+    "pdf_libby_novick": lambda x: pdf_libby_novick(LibbyNovickParams(2, 3, 4), x, 0.4),
 }
 _REJECTED = {f"{name}(tol={tol!r})": (lambda f=f, tol=tol: f(tol))
              for name, f in _TOL_TAKERS.items() for tol in (True, "1e-8")}
+_REJECTED.update({f"{name}(x={x!r})": (lambda f=f, x=x: f(x))
+                  for name, f in _POINT_TAKERS.items()
+                  for x in ("0.3", True, np.bool_(True), None)})
 _REJECTED["ln_beta_multi"] = lambda: ln_beta_multi(["2", True])
 
 

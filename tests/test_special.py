@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bibeta.errors import ConvergenceError, DomainError
-from bibeta.special import (QuadratureResult, appell_f1, hyp2f1, integrate_unit,
-                            integrate_unit_batch, ln_beta_multi)
+from bibeta.special import (QuadratureResult, appell_f1, hyp2f1, integrate_jacobi_batch,
+                            integrate_unit, integrate_unit_batch, ln_beta_multi)
 from oracles import appell_f1_series, gauss_legendre_unit, hyp2f1_series
 
 
@@ -174,6 +174,134 @@ class TestIntegrateUnitBatch:
         assert ends[-1] == t.size == w.size == batch.evaluations[0] - _weighted_nodes(
             (3,), 1.0, 1.0)[0].size
         assert _weighted_nodes.cache_info().maxsize is not None
+
+
+# (p, q) of the Gauss-Jacobi tests: a strong singularity against a high
+# power, the Chebyshev weight (p + q = -1, where the first off-diagonal entry
+# of the Jacobi matrix needs its cancelled form) and Gauss-Legendre
+JACOBI_WEIGHTS = [(-0.9, 4.0), (-0.5, -0.5), (0.0, 0.0)]
+LADDER = [8, 16, 32, 64]
+
+
+class TestJacobiRule:
+    @pytest.mark.parametrize("n", LADDER)
+    @pytest.mark.parametrize("p,q", JACOBI_WEIGHTS)
+    def test_nodes_and_weights_match_scipy(self, p, q, n):
+        from scipy.special import roots_jacobi
+        from bibeta.special import _jacobi_rule
+        t, one_minus_t, w = _jacobi_rule(n, p, q)
+        # scipy's rule is on (-1, 1) for the weight (1-x)**q * (1+x)**p
+        x, wx = roots_jacobi(n, q, p)
+        np.testing.assert_allclose(t, (1.0 + x) / 2.0, rtol=0.0, atol=2e-15)
+        np.testing.assert_allclose(one_minus_t, (1.0 - x) / 2.0, rtol=0.0, atol=2e-15)
+        # scipy's own weights are off by up to 1.6e-10 at (-0.9, 4), n = 64
+        # (their moments miss the beta function by that much; ours below
+        # do not), so they referee the weights only to 1e-9
+        np.testing.assert_allclose(w, wx / 2.0 ** (p + q + 1.0), rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("n", LADDER)
+    @pytest.mark.parametrize("p,q", JACOBI_WEIGHTS)
+    def test_weights_sum_to_the_beta_function(self, p, q, n):
+        from bibeta.special import _jacobi_rule
+        _, _, w = _jacobi_rule(n, p, q)
+        assert math.fsum(w) == pytest.approx(math.exp(ln_beta_multi((p + 1.0, q + 1.0))),
+                                             rel=1e-14, abs=0.0)
+
+    # a high power at one end makes the weights there tiny; t**k with k
+    # near 2n - 1 lives on them, so each must be accurate relative to itself
+    @pytest.mark.parametrize("n", LADDER)
+    @pytest.mark.parametrize("p,q", JACOBI_WEIGHTS + [(3.0, 60.0), (60.0, 3.0)])
+    def test_exact_on_polynomials_of_degree_2n_minus_1(self, p, q, n):
+        import mpmath
+        from bibeta.special import _jacobi_rule
+        t, _, w = _jacobi_rule(n, p, q)
+        for k in range(2 * n):
+            exact = float(mpmath.beta(mpmath.mpf(p) + 1 + k, mpmath.mpf(q) + 1))
+            assert math.fsum(w * t ** k) == pytest.approx(exact, rel=1e-11, abs=0.0)
+
+    def test_tables_are_cached_read_only_and_bounded(self):
+        from bibeta.special import _jacobi_rule, _ladder_step
+        for cache in (_jacobi_rule, _ladder_step):
+            assert cache.cache_info().maxsize is not None
+        rule = _jacobi_rule(16, -0.5, 0.25)
+        assert rule is _jacobi_rule(16, -0.5, 0.25)
+        step = _ladder_step(0, -0.5, 0.25, True, True)
+        assert step is _ladder_step(0, -0.5, 0.25, True, True)
+        fixed, mapped, _, _ = step
+        for a in (*rule, *fixed, *(a for side in mapped for a in side)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+class TestIntegrateJacobiBatch:
+    def test_rows_settle_on_their_own_rules_and_the_rest_fall_back(self):
+        rates = np.array([0.0, 1.0, 8.0, 40.0, 300.0])
+
+        def smooth(t, one_minus_t, rows):
+            return np.exp(-rates[rows][:, None] * t)
+
+        batch = integrate_jacobi_batch(0.5, -0.3, smooth, rates.size, 1e-12)
+        assert batch.converged.all()
+        # 8 + 16 points, then 32, then 64; the steepest row is handed on
+        assert batch.evaluations[:4].tolist() == [24, 24, 56, 120]
+        assert batch.fallback.tolist() == [False] * 4 + [True]
+        assert batch.evaluations[4] > 120
+        for i, c in enumerate(rates):
+            one = integrate_unit(0.5, -0.3, lambda t: np.exp(-c * t), tol=1e-13)
+            assert batch.value[i] == pytest.approx(one.value, rel=1e-14)
+            assert batch.abs_error_estimate[i] <= 1e-12 * batch.value[i]
+
+    def test_rows_match_a_batch_of_one_bit_for_bit(self):
+        # near and far ends in one batch: two rows on each layout of pieces,
+        # which settle on different rules
+        delta = np.array([1e-12, 1e-3, 0.3, 0.9, 1e-5, 1e-10, 2.0, 0.07])
+        right = np.array([0.7, 0.2, 1e-9, 1e-2, 1e-3, 1e-7, 3.0, 0.06])
+
+        def smooth(t, one_minus_t, rows):
+            d, r = delta[rows][:, None], right[rows][:, None]
+            return (d + t) ** -0.4 * (r + one_minus_t) ** 0.3
+
+        batch = integrate_jacobi_batch(-0.2, 0.6, smooth, delta.size, 1e-10, delta, right)
+        for i in range(delta.size):
+            one = integrate_jacobi_batch(
+                -0.2, 0.6, lambda t, one_minus_t, rows, i=i:
+                (delta[i] + t) ** -0.4 * (right[i] + one_minus_t) ** 0.3,
+                1, 1e-10, float(delta[i]), float(right[i]))
+            assert (one.value[0], one.abs_error_estimate[0]) == (
+                batch.value[i], batch.abs_error_estimate[i])
+            assert one.evaluations[0] == batch.evaluations[i]
+        assert len(set(batch.evaluations.tolist())) > 3
+
+    @pytest.mark.parametrize("delta", [1e-14, 1e-9, 1e-4, 0.04])
+    def test_a_near_branch_point_is_mapped_away(self, delta):
+        # integral of (delta + t)**-0.5 and of (delta + 1 - t)**-0.5 over
+        # (0, 1), and of their product, with the branch points given
+        half = 2.0 * (math.sqrt(1.0 + delta) - math.sqrt(delta))
+        both = math.pi - 4.0 * math.asin(math.sqrt(delta / (1.0 + 2.0 * delta)))
+        cases = [(lambda t, one_minus_t, rows: (delta + t) ** -0.5, (delta, None), half),
+                 (lambda t, one_minus_t, rows: (delta + one_minus_t) ** -0.5, (None, delta),
+                  half),
+                 (lambda t, one_minus_t, rows: ((delta + t) * (delta + one_minus_t)) ** -0.5,
+                  (delta, delta), both)]
+        for smooth, branches, exact in cases:
+            batch = integrate_jacobi_batch(0.0, 0.0, smooth, 1, 1e-10, *branches)
+            assert batch.converged[0] and not batch.fallback[0]
+            assert batch.value[0] == pytest.approx(exact, rel=1e-13)
+            # every piece at 8, 16, 32 and 64 points at most
+            assert batch.evaluations[0] <= 3 * 120
+
+    def test_unsettled_rows_carry_the_fallback_result(self):
+        # cos(1e4 t) oscillates faster than 64 points or 10 levels resolve
+        batch = integrate_jacobi_batch(0.0, 0.0, lambda t, one_minus_t, rows:
+                                       np.cos(1e4 * t), 1, 1e-10)
+        assert batch.fallback[0] and not batch.converged[0]
+        assert batch.evaluations[0] == 120 + 6357
+
+    def test_a_factor_that_is_not_finite_is_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_jacobi_batch(0.0, 0.0, lambda t, one_minus_t, rows:
+                                   np.where(t > 0.5, np.inf, 1.0), 2, 1e-10)
 
 
 class TestHyp2F1:
