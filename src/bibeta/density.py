@@ -16,9 +16,13 @@ the kernel's Jacobi weight.  Each other factor has a branch point at a
 distance from its end that the point fixes, and the kernel maps an end
 where that distance is below 0.05.  A factor counts only where its exponent
 is not a non-negative integer and, added to the endpoint power at its end,
-is below 4; a smoother end is left to the plain rule, which resolves it
-sooner than the map would.  ``pdf_points`` batches it over arrays of points
-in kernel calls of up to ``_CHUNK`` = 2048 points of one sign pattern, and
+is below 4 (``special._maps_branch``); a smoother end is left to the plain
+rule, which resolves it sooner than the map would.  A row whose sum leaves
+the float range, or that 128 points do not settle, the kernel integrates in
+logs on a layout centred on the integrand's peak; the prefactor is summed
+in logs too, so a density below the float range reads 0.0 and one above it
+reads ``inf``.  ``pdf_points`` batches it over arrays of points in kernel
+calls of up to ``_CHUNK`` = 2048 points of one sign pattern, and
 ``pdf_grid`` is ``pdf_points`` on a lattice; a batch of one takes the same
 steps on numpy scalars, so all three agree bit for bit.
 ``pdf_closed_form`` keeps the paper's hypergeometric expression (Appell F1
@@ -53,7 +57,7 @@ from .construction import AlphaBivariate, _check_count, _check_point, _check_pos
 from .errors import ConvergenceError, DomainError
 # integrate_unit stays bound here: perfbench/tracing.py wraps it by name
 from .special import (appell_f1, hyp2f1, integrate_jacobi_batch,  # noqa: F401
-                      integrate_unit, ln_beta_multi)
+                      integrate_unit, ln_beta_multi, _maps_branch)
 
 __all__ = [
     "DensityValue",
@@ -79,7 +83,7 @@ def _sum_minus_one(x, y):
 _METHODS = ("closed_form", "quadrature")
 
 # points per batched kernel call: bounds the (points x nodes) arrays, at
-# most 3 pieces of 64 nodes a row, so about 3 MB each
+# most 3 pieces of 128 nodes a row, so about 6 MB each
 _CHUNK = 2048
 
 
@@ -89,7 +93,8 @@ class DensityValue:
     ``value`` is ``math.inf`` where the defining integral diverges (on the
     cut lines with too little weight in the relevant shares), and then
     ``diverged`` is True.  A finite density past the float range also reads
-    ``inf``, with ``diverged`` False.  ``value`` is never negative or NaN.
+    ``inf``, with ``diverged`` False, and one below it reads 0.0.  ``value``
+    is never negative or NaN.
     ``error_estimate`` is only nonzero for the quadrature route, and
     ``evaluations`` counts the integrand evaluations it spent (0 for the
     closed form and on a divergent line).  A caller that leaves ``diverged``
@@ -144,7 +149,7 @@ class _Integrand(NamedTuple):
     share_exp: float | None  # exponent of u or 1-x-y+u, unless it vanishes at t = 0
     gap_exp: float | None    # exponent of x-u or y-u, unless it vanishes at t = 1
     share_branch: bool       # whether the kernel maps the end of that
-    gap_branch: bool         # factor's branch point (``_branches``)
+    gap_branch: bool         # factor's branch point (``_maps_branch``)
     ln_beta: float           # ln B(a11, a10, a01, a00)
     size: float              # the point-free part of the rounding bound
 
@@ -153,15 +158,6 @@ class _Integrand(NamedTuple):
 # its logarithm is summed from and the exponents that amplify the rounding
 # of the integrand's factors
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-
-
-def _branches(e: float | None, e_end: float) -> bool:
-    # whether the kernel should map the end where a factor with exponent e
-    # meets the endpoint power e_end: not for a polynomial factor, nor where
-    # the two behave like s**(sigma - 1) with sigma = e_end + e + 1 >= 5,
-    # which the plain rule settles within its ladder while the mapped
-    # factor exp(sigma * w * L) may not
-    return e is not None and not (e >= 0.0 and e == int(e)) and e_end + e + 1.0 < 5.0
 
 
 @functools.lru_cache(maxsize=256)
@@ -187,8 +183,9 @@ def _integrands(alpha: AlphaBivariate) -> types.MappingProxyType:
         share = None if d0 == 0.0 else alpha.a11 - 1.0 if d0 > 0.0 else alpha.a00 - 1.0
         gap = None if s0 == 0.0 else alpha.a10 - 1.0 if s0 > 0.0 else alpha.a01 - 1.0
         size = 1.0 + ln_beta_size + abs(p) + abs(q) + sum(abs(e) for e in (share, gap) if e)
-        out[d0, s0] = _Integrand(p, q, share, gap, _branches(share, p), _branches(gap, q),
-                                 ln_beta, size)
+        out[d0, s0] = _Integrand(p, q, share, gap,
+                                 share is not None and _maps_branch(share, p),
+                                 gap is not None and _maps_branch(gap, q), ln_beta, size)
     return types.MappingProxyType(out)
 
 
@@ -230,44 +227,33 @@ def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
         biggest, smallest, col = max, min, (lambda v: v)
     scale = 1.0 - biggest(x, y) if signs[0] > 0.0 else smallest(x, y)
 
-    # (base, slope, exponent, from_right): base + slope*t, or from the top
-    # |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its digits
-    # where both are subnormal (|d| never is); columns against the node row,
-    # or scalars for a batch of one, whose sums then stay scalars.  A branch
-    # distance past the float range (a subnormal scale) reads inf: far.
-    terms, ln_unit = [], 0.0
-    branch_left = branch_right = None
+    # (base, slope, exponent, from_right, branch): base + slope*t, or from
+    # the top |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its
+    # digits where both are subnormal (|d| never is); columns against the
+    # node row, or scalars for a batch of one, whose sums then stay scalars.
+    # A branch distance past the float range (a subnormal scale) reads inf:
+    # far.
+    factors, ln_unit = [], 0.0
     with np.errstate(over="ignore"):
         if integrand.share_exp is not None:
-            terms.append((col(abs(d)), col(scale), integrand.share_exp, False))
-            if integrand.share_branch:
-                branch_left = abs(d) / scale
+            factors.append((col(abs(d)), col(scale), integrand.share_exp, False,
+                            abs(d) / scale if integrand.share_branch else None))
         if integrand.gap_exp is not None:
             gap = abs(x - y)
             unit = biggest(gap, scale)
-            terms.append((col(gap / unit), col(scale / unit), integrand.gap_exp, True))
+            factors.append((col(gap / unit), col(scale / unit), integrand.gap_exp, True,
+                            gap / scale if integrand.gap_branch else None))
             ln_unit = integrand.gap_exp * np.log(unit)
-            if integrand.gap_branch:
-                branch_right = gap / scale
-
-    def smooth(t, one_minus_t, rows):
-        # no re-indexing while every row is active
-        every = rows.size == n
-        out = None
-        for base, slope, e, from_right in terms:
-            if not every:
-                base, slope = base[rows], slope[rows]
-            f = np.power(base + slope * (one_minus_t if from_right else t), e)
-            out = f if out is None else out * f
-        return 1.0 if out is None else out
 
     p, q = integrand.p, integrand.q
-    batch = integrate_jacobi_batch(p, q, smooth, n, tol, branch_left, branch_right)
+    batch = integrate_jacobi_batch(p, q, factors, n, tol)
     ln_scale = (1.0 + p + q) * np.log(scale)
     # in logs: a prefactor past the float range meets its integral first, and
     # a density that still overflows reads inf, not inf * 0 = nan in its error
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         logs = np.log((batch.value, batch.abs_error_estimate))
+        if batch.log_scale is not None:
+            logs = logs + batch.log_scale
         value, error = np.exp(ln_scale + ln_unit - integrand.ln_beta + logs)
         # at most 1: an integral that underflowed to 0 keeps its error
         rounding = _ROUNDING * (integrand.size + abs(ln_scale) + abs(ln_unit) + abs(logs[0]))
@@ -284,8 +270,7 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
     ``diverged`` False where a finite density exceeds the float range, as
     near a corner with small weights; ``DomainError`` off the open square or
     for a ``tol`` that is not finite and positive; ``ConvergenceError``,
-    carrying the best ``DensityValue``, if neither the Gauss-Jacobi ladder
-    nor the tanh-sinh rule it falls back on settles.
+    carrying the best ``DensityValue``, if the kernel does not settle.
     """
     # tol first, so a bad one fails at every point, cut lines included
     tol = _check_positive("tol", tol)

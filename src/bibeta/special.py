@@ -1,55 +1,52 @@
 """Multivariate beta and hypergeometric evaluation on (0, 1).
 
-Two quadrature rules for integrands of the form ``t**p * (1-t)**q *
-smooth(t)`` with ``p, q > -1``.
+One quadrature rule, ``integrate_jacobi_batch``, for integrals of the form
 
-``integrate_jacobi_batch`` is the density's kernel.  Its nodes are those of
-the Gauss rule for the weight ``t**p * (1-t)**q`` itself, found by Golub &
-Welsch (Math. Comp. 23, 1969) as the eigenvalues of the closed-form Jacobi
-matrix (``numpy.linalg.eigh``), with the first off-diagonal entry in its
-cancelled form, which stays finite where p + q = -1; a small weight comes
-from the three-term recurrence instead, accurate relative to itself.  The
-rules are cached read-only per (n, p, q).  A row climbs the ladder n = 8, 16, 32, 64, the
-first two in one smooth call, and stops once two successive rules agree to
-``tol`` relative.  ``smooth`` may have a branch point just beyond an end, at
-a distance ``delta`` the caller knows; where ``delta < 0.05`` that end's
-piece (0, 1/8) is integrated under ``s = delta * expm1(w * log1p((1/8) /
-delta))``, a map in the manner of Slevinsky & Olver (SIAM J. Sci. Comput.
-37, 2015) that makes ``(delta + s)**e`` the entire ``delta**e * exp(e * w *
-L)``.  The rest of the interval takes the Jacobi rule of the powers that
-vanish at its ends, with the other powers folded into its cached weights;
-only the mapped pieces, which depend on ``delta``, are formed per call.
-Rows still unsettled at 64 points go on to ``integrate_unit_batch``.
+    integral_0^1 t**p * (1-t)**q * prod_k (base_k + slope_k * u_k)**e_k dt
 
-``integrate_unit_batch`` is a double-exponential (tanh-sinh) rule: under
-the substitution ``t = sigmoid(pi*sinh(u))`` the trapezoid rule in ``u``
-converges at a near-spectral rate even when the endpoint powers are
-singular, because the node density grows double-exponentially towards both
-endpoints.  ``t`` and ``1 - t`` are both derived in log form straight from
-``u``, so the endpoint powers stay accurate where ``t`` itself would round
-to 0 or 1.  The rule runs at most 10 levels, each with its node index
-capped at 2**14 on either side, sweeping many integrands with the same
-endpoint exponents over one set of nodes at once; ``integrate_unit`` is a
-batch of one.
+with ``p, q > -1`` and each ``u_k`` either ``t`` or ``1 - t``: the density's
+share integral and the Euler integrals of Gauss 2F1 and Appell F1 all take
+this form.
 
-Its nodes and their endpoint weights ``exp(p1*log t + q1*log(1-t) +
-log(pi cosh u))`` are cached per (levels, p + 1, q + 1), in a
-least-recently-used cache of at most 256 read-only entries, each filled
-only when a call first reaches its levels.  Every row runs levels 0-2
-before the stopping rule may end it, so those three levels form one entry:
-their nodes go through the smooth factor in one call, and the three level
-sums are taken by slices.
-Each later level is an entry of its own.  An entry also holds the indices of
-the nodes whose weight underflows to 0; those nodes add nothing, whatever the
-smooth factor is there.  Where ``smooth`` gives every row the same factors,
-as in a batch of one, the level sums, the estimates and the stopping test
-are numpy scalars, not arrays of one element, in both rules.  The nodes,
-the sums and the stopping rule are those of a level-by-level sweep, so the
-results equal that sweep's bit for bit.
+Its nodes are those of the Gauss rule for the weight ``t**p * (1-t)**q``
+itself, found by Golub & Welsch (Math. Comp. 23, 1969) as the eigenvalues of
+the closed-form Jacobi matrix (``numpy.linalg.eigh``), with the first
+off-diagonal entry in its cancelled form, which stays finite where p + q =
+-1; a small weight comes from the three-term recurrence instead, accurate
+relative to itself.  The rules are cached read-only per (n, p, q).  A row
+climbs the ladder n = 8, 16, 32, 64, 128, the first two in one evaluation of
+the factors, and stops once two successive rules agree to ``tol`` relative
+on a sum that is finite and clear of underflow.  A factor's zero, a branch
+point of the integrand, may lie just beyond an end, at a distance ``delta``
+the caller knows; where ``delta < 0.05`` that end's piece (0, 1/8) is
+integrated under ``s = delta * expm1(w * log1p((1/8) / delta))``, a map in
+the manner of Slevinsky & Olver (SIAM J. Sci. Comput. 37, 2015) that makes
+``(delta + s)**e`` the entire ``delta**e * exp(e * w * L)``.  The rest of
+the interval takes the Jacobi rule of the powers that vanish at its ends,
+with the other powers folded into its cached weights; only the mapped
+pieces, which depend on ``delta``, are formed per call.  Where the factors
+give every row the same values, as in a batch of one, the sums, the
+estimates and the stopping test are numpy scalars, not arrays of one
+element.
+
+A row whose sum is nan or near underflow leaves the ladder at once, and one
+still unsettled at 128 points, an overflowing one among them, after it.
+Both are summed in logs, ``exp(ln W + h - scale)`` per node with a per-row
+log scale that the result carries, on pieces centred on the integrand's
+peak, as in Laplace's method (de Bruijn, Asymptotic Methods in Analysis,
+1958, ch. 4): a safeguarded Newton iteration on h', h the log of the
+integrand, finds the peak t* from the best node of a 128-point rule, and
+the cuts beside it lie where h has fallen by K**2 / 2, at t* -+ K sigma for
+a Gaussian of width sigma, with K set by ``tol``.  The pieces take the same
+ladder and stopping rule.  A near end keeps its map: the search runs in the
+mapped variable, on the half of (0, 1) at that end.  ``integrate_unit``
+runs the plain ladder on a batch of one, for a smooth factor given as a
+callable.
 
 Gauss and Appell hypergeometric values are computed from their Euler integral
-representations through the tanh-sinh path.  Power-series evaluation is
-deliberately not used here; the test suite keeps independent series oracles.
+representations on the kernel, each factor 1 - z*t written as a distance
+from its zero.  Power-series evaluation is deliberately not used here; the
+test suite keeps independent series oracles.
 """
 
 from __future__ import annotations
@@ -69,24 +66,16 @@ __all__ = [
     "QuadratureResult",
     "ln_beta_multi",
     "integrate_unit",
-    "integrate_unit_batch",
     "BatchQuadrature",
     "integrate_jacobi_batch",
     "hyp2f1",
     "appell_f1",
 ]
 
-# Nodes are clipped into the open interval before the smooth factor sees them;
+# Nodes are clipped into the open interval before the factors see them;
 # all singular behaviour must already live in the declared endpoint exponents.
 _T_LO = 1e-300
 _T_HI = float(np.nextafter(1.0, 0.0))
-
-# exp underflows to 0 below -745; cap node ranges once the weight is gone.
-_LOG_TINY = 780.0
-
-# levels of the rule, and the cap on each level's node index per side
-_MAX_LEVELS = 10
-_NODE_BUDGET = 2 ** 14
 
 
 def ln_beta_multi(alphas: Sequence[float]) -> float:
@@ -110,183 +99,38 @@ class QuadratureResult:
             raise DomainError("evaluations must be a positive integer")
 
 
-def _node_cap(h: float, c: float) -> int:
-    # largest k with c * pi * sinh(k*h) still inside exp's range
-    u_max = math.asinh(_LOG_TINY / (c * math.pi))
-    return min(int(u_max / h), _NODE_BUDGET)
-
-
-@functools.lru_cache(maxsize=256)
-def _weighted_nodes(levels: tuple, p1: float, q1: float):
-    """Read-only ``(t, 1-t, weight, zeros, ends)`` over the nodes that
-    ``levels`` add, concatenated in that order, with ``weight = exp(p1*log t
-    + q1*log(1-t) + log(pi cosh u))``; ``zeros`` holds the indices where that
-    weight underflows to 0, and the nodes of ``levels[i]`` end at offset
-    ``ends[i]``.  Filled only for the levels a call reaches."""
-    parts = []
-    for level in levels:
-        # every integer node at level 0, the odd multiples of the halved
-        # mesh after that
-        h = 2.0 ** -level
-        k_left, k_right = _node_cap(h, p1), _node_cap(h, q1)
-        if level == 0:
-            k = np.arange(-k_left, k_right + 1)
-        else:
-            k = np.concatenate((np.arange(-1, -k_left - 1, -2), np.arange(1, k_right + 1, 2)))
-        u = k * h
-        g = math.pi * np.sinh(u)
-        log_t = -np.logaddexp(0.0, -g)       # log sigmoid(g)
-        log_1mt = -np.logaddexp(0.0, g)
-        log_jac = np.log(math.pi * np.cosh(u))
-        t, one_minus_t = (np.clip(np.exp(v), _T_LO, _T_HI) for v in (log_t, log_1mt))
-        parts.append((t, one_minus_t, np.exp(p1 * log_t + q1 * log_1mt + log_jac)))
-    if len(parts) == 1:
-        t, one_minus_t, w = parts[0]
-    else:
-        t, one_minus_t, w = (np.concatenate(a) for a in zip(*parts))
-    zeros = np.flatnonzero(w == 0.0)
-    for a in (t, one_minus_t, w, zeros):
-        a.flags.writeable = False
-    ends = tuple(itertools.accumulate(part[0].size for part in parts))
-    return t, one_minus_t, w, zeros, ends
-
-
-def _level_sums(levels, p1, q1, smooth, rows):
-    """Sums of weight times smooth factor over the nodes each of ``levels``
-    adds, one entry per row in ``rows`` (or one for all of them), from one
-    ``smooth`` call; and the number of those nodes."""
-    t, one_minus_t, w, zeros, ends = _weighted_nodes(levels, p1, q1)
-    vals = w * np.asarray(smooth(t, one_minus_t, rows), dtype=float)
-    if zeros.size:
-        # a node whose weight underflowed adds nothing, even where the smooth
-        # factor is inf or nan there
-        vals[..., zeros] = 0.0
-    if np.count_nonzero(np.isfinite(vals)) != vals.size:
-        raise DomainError("integrand is not finite at interior nodes; "
-                          "declare endpoint singularities via the exponents")
-    starts = (0,) + ends[:-1]
-    return [vals[..., a:b].sum(axis=-1) for a, b in zip(starts, ends)], t.size
-
-
 @dataclass(frozen=True)
 class BatchQuadrature:
-    """Per-row results of ``integrate_unit_batch`` and
-    ``integrate_jacobi_batch``; a row that ran out of levels holds its best
-    estimate and ``converged`` False.  ``fallback`` marks the rows that
-    ``integrate_jacobi_batch`` handed on to the tanh-sinh rule."""
+    """Per-row results of ``integrate_jacobi_batch``: the integral of a row
+    is ``value * exp(log_scale)``, with ``log_scale`` 0 for a row the plain
+    ladder settled, or None where the plain ladder settled every row; a row
+    that ran out of rules holds its best estimate and ``converged`` False."""
 
     value: np.ndarray
     abs_error_estimate: np.ndarray
     evaluations: np.ndarray
     converged: np.ndarray
-    fallback: np.ndarray
+    log_scale: np.ndarray | None
 
 
-def integrate_unit_batch(endpoint_exponent_left: float, endpoint_exponent_right: float,
-                         smooth: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                         n_rows: int, tol: float = 1e-10) -> BatchQuadrature:
-    """Integrate ``t**p * (1-t)**q * smooth(t, row)`` over (0, 1) for
-    ``n_rows`` integrands that share the endpoint exponents ``p`` and ``q``.
-
-    ``smooth(t, one_minus_t, active)`` gets nodes (those of levels 0-2
-    together, then one level's at a time), ``1 - t`` (positive where ``t``
-    rounds to 1) and the indices of the rows still iterating, and returns
-    their smooth factors as an ``(active.size, t.size)`` array, or anything
-    that broadcasts to it.  It is only called with nodes strictly inside
-    (0, 1) and must be finite there.  Each row stops on the rule of
-    ``integrate_unit``; the rest go on to finer levels.
-    """
-    tol = _check_positive("tol", tol)
-    for e in (endpoint_exponent_left, endpoint_exponent_right):
-        if not (math.isfinite(e) and e > -1.0):
-            raise DomainError(f"endpoint exponents must be finite and > -1, got {e!r}")
-    p1 = endpoint_exponent_left + 1.0
-    q1 = endpoint_exponent_right + 1.0
-    value = np.empty(n_rows)
-    err = np.empty(n_rows)
-    evals = np.empty(n_rows, dtype=np.int64)
-    converged = np.zeros(n_rows, dtype=bool)
-
-    # every row runs levels 0-2, so their nodes go through one smooth call;
-    # v, e: estimate and last inter-level difference of the rows in `active`,
-    # shaped like the level sums, so scalars where ``smooth`` gives every row
-    # the same factors (a batch of one among them)
-    active = np.arange(n_rows)
-    floor = tol * 1e-280
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums, spent = _level_sums((0, 1, 2), p1, q1, smooth, active)
-        v, e = sums[0], math.inf            # h = 1 at level 0
-        for level in range(1, _MAX_LEVELS):
-            if level < 3:
-                new_sum = sums[level]
-            else:
-                (new_sum,), n = _level_sums((level,), p1, q1, smooth, active)
-                spent += n
-            new = v / 2.0 + 2.0 ** -level * new_sum
-            e = abs(new - v)
-            v = new
-            if level < 2:
-                continue
-            # e <= tol * max(|v|, 1e-280) as two comparisons, which numpy
-            # scalars make without a ufunc call (a NaN v has a NaN e)
-            done = (e <= tol * abs(v)) | (e <= floor)
-            stopping = np.count_nonzero(done)
-            if stopping == done.size:
-                converged[active] = True
-                break
-            if stopping:
-                stop = active[done]
-                value[stop], err[stop], evals[stop] = v[done], e[done], spent
-                converged[stop] = True
-                keep = ~done
-                active, v, e = active[keep], v[keep], e[keep]
-
-    # the rows that stopped last, or ran out of levels
-    value[active], err[active], evals[active] = v, e, spent
-    return BatchQuadrature(value, err, evals, converged, np.zeros(n_rows, dtype=bool))
-
-
-def integrate_unit(p: float, q: float, smooth: Callable[[np.ndarray], np.ndarray],
-                   tol: float = 1e-10) -> QuadratureResult:
-    """Integrate ``t**p * (1-t)**q * smooth(t)`` over (0, 1), for finite
-    ``p, q > -1``.
-
-    ``smooth`` gets an array of nodes strictly inside (0, 1) and must return
-    finite values there; any singular behaviour has to be expressed through
-    the exponents.
-
-    Levels halve the mesh, reusing earlier nodes; iteration stops once two
-    consecutive levels agree to ``tol`` in relative terms.  The reported
-    ``abs_error_estimate`` is that last inter-level difference, a conservative
-    bound given the rule's double-exponential convergence.  This is
-    ``integrate_unit_batch`` on a batch of one.
-
-    Raises
-    ------
-    ConvergenceError
-        If the levels run out first.  The best estimate rides along on the
-        exception's ``result`` attribute.
-    """
-    batch = integrate_unit_batch(p, q, lambda t, *_: smooth(t), 1, tol)
-    result = QuadratureResult(value=float(batch.value[0]),
-                              abs_error_estimate=float(batch.abs_error_estimate[0]),
-                              evaluations=int(batch.evaluations[0]))
-    if batch.converged[0]:
-        return result
-    raise ConvergenceError(
-        f"tanh-sinh rule did not reach tol={tol:g} within {_MAX_LEVELS} levels "
-        f"({result.evaluations} evaluations); last inter-level difference "
-        f"{result.abs_error_estimate:g}", result=result)
-
-
-# --- Gauss-Jacobi rule ------------------------------------------------------
-
-# points of the rules a row climbs; the first two go through one smooth call
-_LADDER = ((8, 16), (32,), (64,))
+# points of the rules a row climbs; the first two go through one evaluation
+_LADDER = ((8, 16), (32,), (64,), (128,))
 # an end with a branch point closer than _NEAR (relative to the unit
 # interval) gets the exponential map on the piece of length _CUT next to it
 _NEAR = 0.05
 _CUT = 0.125
+# an end power p, or a branch factor's exponent e with it, that behaves like
+# s**(sigma - 1) with sigma = p + 1 (+ e) >= _SMOOTH is left to the plain
+# rule, which settles it within the ladder while the map or a Jacobi weight
+# of that power may not
+_SMOOTH = 5.0
+# steps of the peak search's Newton iteration, at most
+_STEPS = 40
+# where the peak search looks at the slope of an end
+_END = 1e-9
+# a ladder sum below _UNDERFLOW / tol may have lost the digits of its terms
+# to underflow, and does not settle
+_UNDERFLOW = 1e3 * float(np.finfo(float).tiny)
 
 
 @functools.lru_cache(maxsize=512)
@@ -428,17 +272,20 @@ def _step_nodes(step, p, q, layout, left, right):
     return (*out, ends)
 
 
-def _run_ladder(p, q, layout, smooth, active, left, right, tol, out):
+def _run_ladder(p, q, layout, evaluate, active, left, right, tol, out):
     """Climb the ladder for the rows ``active`` (indices of the batch), which
-    share ``layout``; write the settled rows into ``out`` and return the
-    rows still unsettled after the last rule, and the nodes each spent."""
+    share ``layout``; ``evaluate(t, 1-t, rows)`` gives the factors.  Writes
+    every row's last estimate, its error and the nodes it spent into
+    ``out``, marks the settled ones, and returns the indices of the rest:
+    those whose sum came out nan or near underflow, which leave at once, and
+    those still unsettled after the last rule."""
     value, err, evals, converged = out
-    floor = tol * 1e-280
+    unsettled = []
     spent = 0
     previous = None
     for step in range(len(_LADDER)):
         t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
-        vals = w * smooth(t, one_minus_t, active)
+        vals = w * evaluate(t, one_minus_t, active)
         spent += t.shape[-1]
         start = 0
         for stop in ends:
@@ -447,62 +294,314 @@ def _run_ladder(p, q, layout, smooth, active, left, right, tol, out):
             if previous is None:
                 previous = new
                 continue
-            # a NaN or inf sum never settles, and goes on to the fallback
             e = abs(new - previous)
             previous = new
-            done = (e <= tol * abs(new)) | (e <= floor)
+            # e <= tol * |new|, but false where tol * |new| is below
+            # _UNDERFLOW or not finite (inf - inf is nan): such a sum never
+            # settles
+            bound = tol * abs(new)
+            done = e - bound <= -_UNDERFLOW
             stopping = np.count_nonzero(done)
             if stopping == done.size:
                 value[active], err[active], evals[active] = new, e, spent
                 converged[active] = True
-                return active[:0], spent
-            if stopping:
-                stop_rows = active[done]
-                value[stop_rows], err[stop_rows], evals[stop_rows] = new[done], e[done], spent
-                converged[stop_rows] = True
+                return np.concatenate(unsettled) if unsettled else active[:0]
+            # a sum near underflow or nan leaves at once (one that is inf
+            # climbs on, and leaves after the last rule)
+            lost = ~(bound >= _UNDERFLOW)
+            n_lost = np.count_nonzero(lost)
+            if n_lost == lost.size:
+                value[active], err[active], evals[active] = new, e, spent
+                return np.concatenate((*unsettled, active))
+            if stopping or n_lost:
+                rows = active[done]
+                value[rows], err[rows], evals[rows] = new[done], e[done], spent
+                converged[rows] = True
                 keep = ~done
+                if n_lost:
+                    rows = active[lost]
+                    value[rows], err[rows], evals[rows] = new[lost], e[lost], spent
+                    unsettled.append(rows)
+                    keep &= ~lost
                 active, previous, e = active[keep], previous[keep], e[keep]
                 left = left and (left[0][keep], left[1][keep])
                 right = right and (right[0][keep], right[1][keep])
     value[active], err[active], evals[active] = previous, e, spent
-    return active, spent
+    return np.concatenate((*unsettled, active))
+
+
+def _product(factors, n_rows):
+    """``evaluate(t, 1-t, rows)`` for ``_run_ladder``: the product of the
+    factors ``(base + slope * u)**e`` at the nodes, for the rows ``rows``."""
+    def evaluate(t, one_minus_t, rows):
+        # no re-indexing while every row is active
+        every = rows.size == n_rows
+        out = None
+        for base, slope, e, from_right, _ in factors:
+            if not every:
+                base, slope = base[rows], slope[rows]
+            f = np.power(base + slope * (one_minus_t if from_right else t), e)
+            out = f if out is None else out * f
+        return 1.0 if out is None else out
+    return evaluate
+
+
+def _maps_branch(e: float, e_end: float) -> bool:
+    """Whether the kernel should map the end where a factor with exponent
+    ``e`` has its zero near, at an end with power ``e_end``: not for a
+    polynomial factor, nor where the two behave like s**(sigma - 1) with
+    sigma = e_end + e + 1 >= 5, which the plain rule settles within its
+    ladder while the mapped factor exp(sigma * w * L) may not."""
+    return not (e >= 0.0 and e == int(e)) and e_end + e + 1.0 < _SMOOTH
+
+
+def _branches(factors):
+    # the nearest branch distance the caller gives beyond each end, or None
+    near = [None, None]
+    for *_, from_right, branch in factors:
+        if branch is not None:
+            other = near[from_right]
+            near[from_right] = branch if other is None else np.minimum(other, branch)
+    return near
+
+
+def _slopes(t, one_minus_t, p, q, columns):
+    """``(h, h', h'')`` of ``h = p log t + q log(1-t) + sum e log(base + slope
+    * u)``, the log of the integrand, against t; ``columns`` holds ``(base,
+    slope, e, from_right)`` per factor, shaped to broadcast against t."""
+    h = d1 = d2 = 0.0
+    if p:
+        h, d1, d2 = p * np.log(t), p / t, -p / (t * t)
+    if q:
+        h, d1, d2 = (h + q * np.log(one_minus_t), d1 - q / one_minus_t,
+                     d2 - q / (one_minus_t * one_minus_t))
+    for base, slope, e, from_right in columns:
+        f = base + slope * (one_minus_t if from_right else t)
+        r = slope / f
+        h, d1, d2 = h + e * np.log(f), d1 - e * r if from_right else d1 + e * r, d2 - e * r * r
+    return h, d1, d2
+
+
+def _segment(kind, lo, hi, p, q, delta):
+    """The variable v in (0, 1) of the segment (lo, hi) of (0, 1): ``(r0, r1,
+    at)``, with r0 and r1 the end powers that a rule touching v = 0 or v = 1
+    takes into its Jacobi weight, and ``at(v, 1-v)`` giving t, 1-t,
+    log|dt/dv|, dt/dv, d2t/dv2 and d/dv log|dt/dv|.  A segment at a near end
+    (``kind`` "left" or "right") runs under that end's map ``s = delta *
+    expm1(v * L)``, ``s`` the distance to the end, ``L = log1p((hi - lo) /
+    delta)``; its rules take the end power at v = 0."""
+    if kind is None:
+        length = hi - lo
+
+        def at(v, one_minus_v):
+            return (lo + length * v, (1.0 - hi) + length * one_minus_v, math.log(length),
+                    length, 0.0, 0.0)
+        return (p if lo == 0.0 and p + 1.0 < _SMOOTH else 0.0,
+                q if hi == 1.0 and q + 1.0 < _SMOOTH else 0.0, at)
+    log_span = np.log1p((hi - lo) / delta)
+    sign = 1.0 if kind == "left" else -1.0
+
+    def at(v, one_minus_v):
+        s = delta * np.expm1(v * log_span)
+        jac = log_span * (delta + s)
+        t, one_minus_t = (s, 1.0 - s) if kind == "left" else (1.0 - s, s)
+        return t, one_minus_t, np.log(jac), sign * jac, sign * log_span * jac, log_span
+    return p if kind == "left" else q, 0.0, at
+
+
+def _segment_slopes(v, segment, p, q, columns):
+    """``(H, H', H'')`` against v of the log of the integrand in a segment's
+    variable, times dt/dv, less the end powers its rules take."""
+    r0, r1, at = segment
+    t, one_minus_t, log_jac, jac, jac2, dlog = at(v, 1.0 - v)
+    h, d1, d2 = _slopes(t, one_minus_t, p, q, columns)
+    h, d1, d2 = h + log_jac, d1 * jac + dlog, d2 * jac * jac + d1 * jac2
+    if r0:
+        h, d1, d2 = h - r0 * np.log(v), d1 - r0 / v, d2 + r0 / (v * v)
+    if r1:
+        h, d1, d2 = (h - r1 * np.log1p(-v), d1 + r1 / (1.0 - v),
+                     d2 + r1 / ((1.0 - v) * (1.0 - v)))
+    return h, d1, d2
+
+
+def _reach(origin, side, top, slopes, reach):
+    """The point towards ``side`` from ``origin`` where H has fallen by
+    ``reach**2 / 2`` from ``top``, its value there, as it has ``reach``
+    sigma away for a Gaussian, or the end of (0, 1) where H does not fall
+    that far: by bisection on the log of the distance, over 60 octaves
+    below the distance to the end, to 1/64 of an octave."""
+    floor = top - 0.5 * reach * reach
+    span = 1.0 - origin if side > 0 else origin
+    short, far = np.full_like(origin, -60.0), np.zeros_like(origin)
+    for _ in range(12):
+        mid = 0.5 * (short + far)
+        fell = slopes(origin + side * span * np.exp2(mid))[0] <= floor
+        short, far = np.where(fell, short, mid), np.where(fell, mid, far)
+    return origin + side * span * np.exp2(far)
+
+
+def _cuts(start, slopes, reach):
+    """Three cuts of a segment's variable round each row's peak, for
+    ``slopes(v) = (H, H', H'')``.
+
+    An end is a peak where H falls away from it (both ends, where H dips
+    between them); otherwise a Newton iteration on H' from ``start`` finds
+    the peak t* inside, keeping the bracket where H' changes sign and
+    bisecting it where a step would leave it or H'' is not negative.  The
+    peak's pieces span the points on either side where H has fallen
+    (``_reach``), and the cuts are their ends and t*; where the span reaches
+    an end of the segment, the cuts grade towards it by halves instead, so
+    that no piece ends just short of an end power."""
+    ends = np.full_like(start, _END), np.full_like(start, 1.0 - _END)
+    left, right = slopes(ends[0]), slopes(ends[1])
+    at_left, at_right = left[1] <= 0.0, right[1] >= 0.0
+    inside = ~(at_left | at_right)
+    # a row stops moving once its step is below 1e-3 of its width, so that
+    # it takes the same steps in any batch
+    t, lo, hi, moving = start, np.zeros_like(start), np.ones_like(start), inside
+    for _ in range(_STEPS):
+        _, d1, d2 = slopes(t)
+        rising = d1 > 0.0
+        lo, hi = np.where(rising, t, lo), np.where(rising, hi, t)
+        step = d1 / d2
+        newton = t - step
+        ok = (d2 < 0.0) & (lo < newton) & (newton < hi)
+        moving = moving & ~(ok & (abs(step) * np.sqrt(-d2) <= 1e-3))
+        if not moving.any():
+            break
+        t = np.where(moving, np.where(ok, newton, 0.5 * (lo + hi)), t)
+    top = slopes(t)[0]
+    from_0 = _reach(ends[0], 1.0, left[0], slopes, reach) if at_left.any() else 1.0
+    from_1 = _reach(ends[1], -1.0, right[0], slopes, reach) if at_right.any() else 0.0
+    # the span of the peak's pieces
+    lo, hi = (_reach(t, side, top, slopes, reach) if inside.any() else t
+              for side in (-1.0, 1.0))
+    lo = np.where(inside, lo, np.where(at_left, 0.0, from_1))
+    hi = np.where(inside, hi, np.where(at_right, 1.0, from_0))
+    to_0, to_1 = lo <= 0.0, hi >= 1.0
+    cuts = (np.where(to_0, np.where(to_1, 0.25, 0.25 * hi), lo),
+            np.where(to_0, np.where(to_1, 0.5, 0.5 * hi),
+                     np.where(to_1, 0.5 + 0.5 * lo, np.where(inside, t, 0.5 * (lo + hi)))),
+            np.where(to_1, np.where(to_0, 0.75, 0.75 + 0.25 * lo), hi))
+    # two end peaks with a dip between them: a cut at the edge of each
+    apart = at_left & at_right & (from_0 < from_1)
+    return [np.where(apart, c, cut)
+            for c, cut in zip((from_0, 0.5 * (from_0 + from_1), from_1), cuts)]
+
+
+def _piece_terms(n, segment, lo, hi, p, q, columns):
+    """``ln J + h`` at the n nodes of a piece (lo, hi) of a segment's variable
+    (None for an end of it), with J the rule's weight over the Jacobi weight
+    it is exact for, times the lengths, so that the piece's integral is the
+    sum of their exponentials."""
+    r0, r1, at = segment
+    inner_p = r0 if lo is None else 0.0
+    inner_q = r1 if hi is None else 0.0
+    x, one_minus_x, w = _jacobi_rule(n, inner_p, inner_q)
+    lo = 0.0 if lo is None else lo
+    hi = 1.0 if hi is None else hi
+    length = hi - lo
+    t, one_minus_t, log_jac, *_ = at(lo + length * x, (1.0 - hi) + length * one_minus_x)
+    ln_j = np.log(w) + np.log(length) + log_jac
+    if inner_p:
+        ln_j = ln_j - inner_p * np.log(x)
+    if inner_q:
+        ln_j = ln_j - inner_q * np.log(one_minus_x)
+    return ln_j + _slopes(t, one_minus_t, p, q, columns)[0]
+
+
+def _run_peak(p, q, factors, n_rows, rows, branches, tol, out, log_scale):
+    """Integrate the rows ``rows`` in logs on pieces centred on their peaks:
+    (0, 1), or where an end is near, (0, 1/2) and (1/2, 1) with the near
+    ones under their maps, each cut in four (``_cuts``).  Writes the rows'
+    estimates, errors and log scales into ``out`` and ``log_scale``, marks
+    the settled ones and adds the nodes spent, 128 per segment for the
+    search."""
+    def per_row(v):
+        return np.broadcast_to(np.reshape(np.asarray(v, dtype=float), (-1, 1)), (n_rows, 1))[rows]
+
+    columns = [(per_row(base), per_row(slope), e, r) for base, slope, e, r, _ in factors]
+    delta = [None if branch is None else per_row(branch) for branch in branches]
+    near = [np.zeros(rows.size, dtype=bool) if d is None else d[:, 0] < _NEAR for d in delta]
+    reach = 2.0 + math.sqrt(2.0 * math.log1p(1.0 / tol))
+    n = _LADDER[-1][-1]
+    for ends in sorted(set(zip(near[0].tolist(), near[1].tolist()))):
+        group = np.flatnonzero((near[0] == ends[0]) & (near[1] == ends[1]))
+        cols = [(base[group], slope[group], e, r) for base, slope, e, r in columns]
+        pieces = []
+        for kind, lo, hi in ([("left" if ends[0] else None, 0.0, 0.5),
+                              ("right" if ends[1] else None, 0.5, 1.0)]
+                             if any(ends) else [(None, 0.0, 1.0)]):
+            segment = _segment(kind, lo, hi, p, q,
+                               None if kind is None else delta[kind == "right"][group])
+            # the best node of a 128-point rule on the segment starts the search
+            terms = np.broadcast_to(_piece_terms(n, segment, None, None, p, q, cols),
+                                    (group.size, n))
+            start = _jacobi_rule(n, *segment[:2])[0][np.argmax(terms, axis=-1)][:, None]
+            cuts = [None, *_cuts(start, lambda v: _segment_slopes(v, segment, p, q, cols),
+                                 reach), None]
+            pieces += [(segment, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
+            out[2][rows[group]] += n
+        _peak_ladder(p, q, pieces, cols, tol, rows[group], out, log_scale)
+
+
+def _peak_ladder(p, q, pieces, columns, tol, rows, out, log_scale):
+    """The ladder and stop rule on the peak layout ``pieces``, ``(segment,
+    lo, hi)`` each, for the rows ``rows``."""
+    value, err, evals, converged = out
+    m = rows.size
+    spent = evals[rows]
+    open_rows = np.ones(m, dtype=bool)
+    scale = previous = None
+    for n in itertools.chain(*_LADDER):
+        terms = np.concatenate([np.broadcast_to(term, (m, term.shape[-1])) for term in (
+            _piece_terms(n, segment, lo, hi, p, q, columns) for segment, lo, hi in pieces)],
+            axis=-1)
+        spent = spent + terms.shape[-1]
+        if scale is None:
+            scale = np.max(terms, axis=-1)
+            scale = np.where(np.isfinite(scale), scale, 0.0)
+        new = np.exp(terms - scale[:, None]).sum(axis=-1)
+        if previous is not None:
+            e = abs(new - previous)
+            index = rows[open_rows]
+            value[index], err[index] = new[open_rows], e[open_rows]
+            evals[index] = spent[open_rows]
+            done = open_rows & (e <= tol * new) & (new > 0.0)
+            converged[rows[done]] = True
+            open_rows &= ~done
+            if not open_rows.any():
+                break
+        previous = new
+    log_scale[rows] = scale
 
 
 def integrate_jacobi_batch(endpoint_exponent_left: float, endpoint_exponent_right: float,
-                           smooth: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                           n_rows: int, tol: float, branch_left=None,
-                           branch_right=None) -> BatchQuadrature:
-    """Integrate ``t**p * (1-t)**q * smooth(t, row)`` over (0, 1) for
-    ``n_rows`` integrands that share ``p`` and ``q``, by Gauss-Jacobi rules.
+                           factors: Sequence[tuple], n_rows: int,
+                           tol: float) -> BatchQuadrature:
+    """Integrate ``t**p * (1-t)**q * prod_k (base_k + slope_k * u_k)**e_k``
+    over (0, 1) for ``n_rows`` integrands that share ``p``, ``q`` and the
+    exponents ``e_k``, as the module docstring describes.
 
-    ``smooth`` is called as for ``integrate_unit_batch``, with nodes that
-    are 1-D or, where an end is mapped and the batch has more than one row,
-    shaped (rows, nodes).  ``branch_left`` and ``branch_right`` give, per
-    row (an array, or a float for a batch of one), the distance ``delta``
-    from t = 0 to a branch point of ``smooth`` at t = -delta, and from t = 1
-    to one at t = 1 + delta; None where ``smooth`` has none.  An end with
-    ``delta < 0.05`` is split off at 1/8 and integrated under ``s = delta *
-    expm1(w * L)``, ``L = log1p((1/8) / delta)``, ``s`` the distance to that
-    end, with the Jacobi weight ``w**p`` (or ``w**q``); that makes
-    ``(delta + s)**e`` entire.  The rest of (0, 1) takes a Jacobi rule on
-    the powers that vanish at its ends.
-
-    Each row runs the 8- and 16-point rules on every piece in one smooth
-    call, then 32 and 64 points, and stops once two successive rules agree
-    to ``tol`` relative; that difference is its error estimate, and the
-    result is the finer rule's.  Rows not settled at 64 points go to
-    ``integrate_unit_batch`` on the same integrand (``fallback``), which
-    also rejects a smooth factor that is not finite; their evaluations
-    count both.  ``tol`` must already be a finite float > 0, and the
-    endpoint exponents finite and > -1.
+    ``factors`` lists ``(base, slope, e, from_right, branch)``: ``u`` is
+    ``1 - t`` if ``from_right``, else ``t``; ``base`` and ``slope`` are
+    (n_rows, 1) columns, or floats for a batch of one, and the factor is
+    positive on (0, 1); ``branch`` is the distance from that end to the
+    factor's zero (an array or a float), or None where the factor is not
+    to be mapped (``_maps_branch``).  An end is mapped where its nearest
+    branch is closer than 0.05.  A row's result is
+    ``value * exp(log_scale)``, its error estimate the difference of its
+    last two rules times the same scale, and its evaluations count both
+    layouts.  ``tol`` must already be a finite float > 0, and the endpoint
+    exponents finite and > -1.
     """
     p, q = endpoint_exponent_left, endpoint_exponent_right
     value = np.empty(n_rows)
     err = np.empty(n_rows)
     evals = np.empty(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
-    fallback = np.zeros(n_rows, dtype=bool)
     out = (value, err, evals, converged)
+    branch_left, branch_right = _branches(factors)
     # rows split over the layouts of their near ends; each group runs alone
     if isinstance(branch_left, np.ndarray) or isinstance(branch_right, np.ndarray):
         key = np.zeros(n_rows, dtype=np.int8)
@@ -514,6 +613,8 @@ def integrate_jacobi_batch(endpoint_exponent_left: float, endpoint_exponent_righ
     else:
         groups = [((branch_left is not None and branch_left < _NEAR)
                    + 2 * (branch_right is not None and branch_right < _NEAR), None)]
+    evaluate = _product(factors, n_rows)
+    rest = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, rows in groups:
             layout = (bool(k & 1), bool(k & 2))
@@ -522,17 +623,62 @@ def integrate_jacobi_batch(endpoint_exponent_left: float, endpoint_exponent_righ
                 if near and rows is not None:
                     branch = branch[rows][:, None]
                 ends.append((branch, np.log1p(_CUT / branch)) if near else None)
-            rest, spent = _run_ladder(p, q, layout, smooth,
-                                      np.arange(n_rows) if rows is None else rows,
-                                      *ends, tol, out)
-            if rest.size:
-                batch = integrate_unit_batch(
-                    p, q, lambda t, one_minus_t, active, rest=rest:
-                    smooth(t, one_minus_t, rest[active]), rest.size, tol)
-                value[rest], err[rest] = batch.value, batch.abs_error_estimate
-                evals[rest] = spent + batch.evaluations
-                converged[rest], fallback[rest] = batch.converged, True
-    return BatchQuadrature(value, err, evals, converged, fallback)
+            rest.append(_run_ladder(p, q, layout, evaluate,
+                                    np.arange(n_rows) if rows is None else rows,
+                                    *ends, tol, out))
+    rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
+    if not rest.size:
+        return BatchQuadrature(value, err, evals, converged, None)
+    log_scale = np.zeros(n_rows)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        _run_peak(p, q, factors, n_rows, rest, (branch_left, branch_right), tol, out, log_scale)
+    return BatchQuadrature(value, err, evals, converged, log_scale)
+
+
+def integrate_unit(p: float, q: float, smooth: Callable[[np.ndarray], np.ndarray],
+                   tol: float = 1e-10) -> QuadratureResult:
+    """Integrate ``t**p * (1-t)**q * smooth(t)`` over (0, 1), for finite
+    ``p, q > -1``.
+
+    ``smooth`` gets an array of nodes strictly inside (0, 1) and must return
+    finite values there, or ``DomainError``; any singular behaviour has to
+    be expressed through the exponents.
+
+    The Gauss-Jacobi ladder of ``integrate_jacobi_batch`` on a batch of
+    one, without its peak layout: 8 and 16 points, then 32, 64 and 128,
+    until two successive rules agree to ``tol`` relative on a sum that is
+    finite and clear of underflow.  The reported ``abs_error_estimate`` is
+    that last difference.
+
+    Raises
+    ------
+    ConvergenceError
+        If the rules run out first.  The best estimate rides along on the
+        exception's ``result`` attribute.
+    """
+    tol = _check_positive("tol", tol)
+    for e in (p, q):
+        if not (math.isfinite(e) and e > -1.0):
+            raise DomainError(f"endpoint exponents must be finite and > -1, got {e!r}")
+
+    def evaluate(t, one_minus_t, rows):
+        vals = np.asarray(smooth(t), dtype=float)
+        if np.count_nonzero(np.isfinite(vals)) != vals.size:
+            raise DomainError("integrand is not finite at interior nodes; "
+                              "declare endpoint singularities via the exponents")
+        return vals
+
+    out = (np.empty(1), np.empty(1), np.empty(1, dtype=np.int64), np.zeros(1, dtype=bool))
+    _run_ladder(float(p), float(q), (False, False), evaluate, np.arange(1), None, None, tol,
+                out)
+    result = QuadratureResult(value=float(out[0][0]), abs_error_estimate=float(out[1][0]),
+                              evaluations=int(out[2][0]))
+    if out[3][0]:
+        return result
+    raise ConvergenceError(
+        f"Gauss-Jacobi rules did not reach tol={tol:g} within {_LADDER[-1][-1]} points "
+        f"({result.evaluations} evaluations); last difference "
+        f"{result.abs_error_estimate:g}", result=result)
 
 
 def hyp2f1(a: float, b: float, c: float, z: float, *, tol: float = 1e-11) -> float:
@@ -559,7 +705,10 @@ def appell_f1(a: float, b1: float, b2: float, c: float,
         F1 = B(a, c-a)^-1 * integral_0^1
              t**(a-1) * (1-t)**(c-a-1) * (1-z1*t)**(-b1) * (1-z2*t)**(-b2) dt,
 
-    accurate to about 1e-9 relative at the default tolerance.
+    on ``integrate_jacobi_batch``, accurate to about 1e-9 relative at the
+    default tolerance.  For 0 < z < 1 a factor 1 - z*t is formed as (1-z) +
+    z*(1-t), its zero (1-z)/z beyond t = 1; for z < 0 as 1 + |z|*t, its zero
+    1/|z| beyond t = 0.  ``ConvergenceError`` if the kernel does not settle.
     """
     # tol first, so a bad one fails on the trivial cases too
     tol = _check_positive("tol", tol)
@@ -574,14 +723,17 @@ def appell_f1(a: float, b1: float, b2: float, c: float,
         raise DomainError(f"appell_f1 integral form needs z1, z2 < 1, got {z1!r}, {z2!r}")
     if (b1 == 0.0 or z1 == 0.0) and (b2 == 0.0 or z2 == 0.0):
         return 1.0
-
-    def smooth(t):
-        out = np.ones_like(t)
-        if b1 != 0.0 and z1 != 0.0:
-            out = out * np.power(1.0 - z1 * t, -b1)
-        if b2 != 0.0 and z2 != 0.0:
-            out = out * np.power(1.0 - z2 * t, -b2)
-        return out
-
-    q = integrate_unit(a - 1.0, c - a - 1.0, smooth, tol)
-    return math.exp(-ln_beta_multi((a, c - a))) * q.value
+    factors = []
+    for b, z in ((b1, z1), (b2, z2)):
+        if b != 0.0 and z != 0.0:
+            # (base, slope, e, from_right) and the distance to the zero
+            factor, branch = (((1.0 - z, z, -b, True), (1.0 - z) / z) if z > 0.0
+                              else ((1.0, -z, -b, False), -1.0 / z))
+            e_end = c - a - 1.0 if z > 0.0 else a - 1.0
+            factors.append((*factor, branch if _maps_branch(-b, e_end) else None))
+    batch = integrate_jacobi_batch(a - 1.0, c - a - 1.0, factors, 1, tol)
+    if not batch.converged[0]:
+        raise ConvergenceError(f"appell_f1 integral did not reach tol={tol:g} "
+                               f"({int(batch.evaluations[0])} evaluations)")
+    scale = 0.0 if batch.log_scale is None else batch.log_scale[0]
+    return math.exp(scale - ln_beta_multi((a, c - a))) * float(batch.value[0])

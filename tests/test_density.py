@@ -210,25 +210,39 @@ class TestPdfClosedForm:
 
     # one point per sign pattern of (x + y - 1, x - y): the four triangles,
     # the four half-lines and the center, each reached through its own
-    # reflection and swap; values as float.hex
+    # reflection and swap; values as float.hex, each within 5.6e-15 of the
+    # share integral in 30-digit mpmath arithmetic
     @pytest.mark.parametrize("weights,x,y,value", [
         *[((2.0, 3.0, 4.0, 5.0), *row) for row in [
-            (0.2, 0.3, "0x1.b3de28010a717p+1"), (0.3, 0.2, "0x1.e2a91e3929800p+0"),
-            (0.6, 0.7, "0x1.d38c74efa072cp-3"), (0.7, 0.6, "0x1.077cc6ce50c7fp-3"),
-            (0.3, 0.3, "0x1.81f2f50009c8fp+2"), (0.7, 0.7, "0x1.bd397beb968d5p-5"),
-            (0.25, 0.75, "0x1.94177fffffff2p-2"), (0.75, 0.25, "0x1.e473ffffffff5p-5"),
+            (0.2, 0.3, "0x1.b3de28010a71cp+1"), (0.3, 0.2, "0x1.e2a91e39297f6p+0"),
+            (0.6, 0.7, "0x1.d38c74efa071ep-3"), (0.7, 0.6, "0x1.077cc6ce50c7dp-3"),
+            (0.3, 0.3, "0x1.81f2f50009c97p+2"), (0.7, 0.7, "0x1.bd397beb968dbp-5"),
+            (0.25, 0.75, "0x1.941780000000bp-2"), (0.75, 0.25, "0x1.e474000000016p-5"),
             (0.5, 0.5, "0x1.e77fffffffff3p+1")]],
         *[((0.9, 0.8, 0.7, 0.6), *row) for row in [
-            (0.2, 0.3, "0x1.8109b2d2ca162p-1"), (0.3, 0.2, "0x1.b1dcd0c11cabdp-1"),
-            (0.6, 0.7, "0x1.aa86b0c3dc9ffp+0"), (0.7, 0.6, "0x1.cfb399f734a3ap+0"),
-            (0.3, 0.3, "0x1.5cb6705a32d53p+0"), (0.7, 0.7, "0x1.15d2bc5467d83p+1"),
-            (0.25, 0.75, "0x1.6ffed357d1da3p+0"), (0.75, 0.25, "0x1.ba2742adf344dp+0"),
+            (0.2, 0.3, "0x1.8109b2d2ca15ep-1"), (0.3, 0.2, "0x1.b1dcd0c11cabdp-1"),
+            (0.6, 0.7, "0x1.aa86b0c3dc9ffp+0"), (0.7, 0.6, "0x1.cfb399f734a39p+0"),
+            (0.3, 0.3, "0x1.5cb6705a32d4dp+0"), (0.7, 0.7, "0x1.15d2bc5467d84p+1"),
+            (0.25, 0.75, "0x1.6ffed357d1d9bp+0"), (0.75, 0.25, "0x1.ba2742adf344ep+0"),
             (0.5, 0.5, "0x1.4e692d0b1e80cp+1")]],
     ])
     def test_values_are_pinned(self, weights, x, y, value):
         got = pdf_closed_form(AlphaBivariate(*weights), x, y)
         assert got.value == float.fromhex(value)
         assert not got.diverged
+
+    @pytest.mark.parametrize("line", sorted(HALF_LINES))
+    @pytest.mark.parametrize("weights", NEAR_LINE_SETS)
+    def test_finite_near_the_lines(self, weights, line):
+        # 1e-3 to 1e-12 off each half-line; the hypergeometric arguments
+        # x/y and x/d round, which moves the value by up to some 1e-6
+        a = AlphaBivariate(*weights)
+        x0, y0, dx, dy = HALF_LINES[line]
+        for k in range(3, 13):
+            x, y = x0 + 10.0 ** -k * dx, y0 + 10.0 ** -k * dy
+            got = pdf_closed_form(a, x, y)
+            assert 0.0 < got.value < math.inf
+            assert rel_diff(got.value, pdf(a, x, y).value) <= 1e-5
 
     def test_sum_test_is_exact_not_epsilon(self):
         # a11 + a00 <= 1, so the antidiagonal diverges; 0.3 + 0.7 rounds to
@@ -336,14 +350,14 @@ class TestPdf:
     @pytest.mark.parametrize("weights", NEAR_LINE_SETS)
     def test_error_estimate_bounds_the_error_near_the_lines(self, weights, line, monkeypatch):
         # gaps 1e-3 to 1e-12 off each half-line, against 30 digits; the
-        # near end is mapped, so no point needs the tanh-sinh fallback
+        # near end is mapped, so no point needs the peak layout
         import bibeta.density as density
         kernel = density.integrate_jacobi_batch
-        fallback = []
+        peak = []
 
         def spy(*args):
             out = kernel(*args)
-            fallback.append(int(out.fallback.sum()))
+            peak.append(out.log_scale is not None)
             return out
 
         monkeypatch.setattr(density, "integrate_jacobi_batch", spy)
@@ -356,7 +370,7 @@ class TestPdf:
             assert abs(got.value - exact) <= 1e-10 * exact
             assert abs(got.value - exact) <= got.error_estimate
             assert got.evaluations <= 2 * 120
-        assert sum(fallback) == 0
+        assert sum(peak) == 0
 
     def test_near_line_point_that_missed_its_tol(self):
         # 1e-10 off the diagonal, where two agreeing estimates can both be
@@ -389,6 +403,77 @@ class TestPdf:
     def test_no_convergence_error_inside_the_square(self, weights, point):
         # a few ulps from a cut line included; an on-line point may read inf
         assert pdf(AlphaBivariate(*weights), *point).value >= 0.0
+
+    @given(st.tuples(*[st.floats(math.log(1e-3), math.log(1e4)).map(math.exp)] * 4), POINTS)
+    @settings(max_examples=200, deadline=None)
+    def test_no_convergence_error_at_large_weights(self, weights, point):
+        # weights up to 1e4: integrands past the float range and peaks a
+        # few thousandths wide, summed in logs; a density below the float
+        # range reads 0
+        assert pdf(AlphaBivariate(*weights), *point).value >= 0.0
+
+
+class TestLargeWeights:
+    # the first draw of sample_bivariate(AlphaBivariate(150, 225, 300,
+    # 375), 1, RandomStream(3)), and its density in 30-digit mpmath
+    ALPHA = AlphaBivariate(150.0, 225.0, 300.0, 375.0)
+    POINT = (0.3929530679008409, 0.4517520833510923)
+    EXACT = 10.457032788765158
+
+    def test_density_at_a_draw(self):
+        got = pdf(self.ALPHA, *self.POINT)
+        assert abs(got.value - self.EXACT) <= 1e-9 * self.EXACT
+        assert abs(got.value - self.EXACT) <= got.error_estimate
+
+    def test_normalization(self):
+        # Gauss-Legendre on the box of 9 standard deviations round the mean,
+        # where all but a negligible part of the mass lies
+        a = self.ALPHA
+        m = a.total
+        mean = np.array([a.a11 + a.a10, a.a11 + a.a01]) / m
+        sd = np.sqrt(mean * (1.0 - mean) / (m + 1.0))
+        nodes, weights = np.polynomial.legendre.leggauss(48)
+        x, y = (mean[i] + 9.0 * sd[i] * nodes for i in range(2))
+        got = pdf_points(a, *np.meshgrid(x, y, indexing="ij"))
+        total = np.sum(np.outer(weights, weights) * got.value) * 81.0 * sd[0] * sd[1]
+        assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_fitted_weights_at_their_data(self):
+        # a fit to 1e5 draws returns weights near (200, 300, 400, 500), at
+        # which no data point reads 0; batch and scalar agree bit for bit
+        from bibeta.construction import RandomStream, sample_bivariate
+        from bibeta.fitting import fit_data
+        data = sample_bivariate(AlphaBivariate(200, 300, 400, 500), 100_000, RandomStream(1))
+        alpha = fit_data(data).alpha_star
+        assert min(alpha.as_array()) > 150.0
+        x, y = data[:200].T
+        got = pdf_points(alpha, x, y)
+        assert np.all((got.value > 0.0) & np.isfinite(got.value))
+        for i in range(20):
+            one = pdf(alpha, float(x[i]), float(y[i]))
+            assert (one.value, one.error_estimate, one.evaluations) == (
+                got.value[i], got.error_estimate[i], got.evaluations[i])
+
+    def test_peak_near_the_antidiagonal(self):
+        # 1.7e-6 below the antidiagonal: t**-0.9986 meets (delta + t)**426.9,
+        # a peak 0.02 wide that the ladder does not settle
+        weights = (0.0014161640528755517, 887.6852243316595, 0.03241775215271978,
+                   427.88092037414805)
+        x, y = 0.6559017904532893, 0.34409648103541973
+        got = pdf(AlphaBivariate(*weights), x, y)
+        exact = density_mpmath(weights, x, y, dps=30)
+        assert abs(got.value - exact) <= min(1e-10 * exact, got.error_estimate)
+
+    def test_near_line_point_on_the_128_point_rule(self):
+        # t**3.986 (1-t)**3.986 with a factor (delta + 1 - t)**-0.75 left
+        # unmapped: the 128-point rule settles it
+        weights = (6.160100586658901, 6.160100586658901, 0.12372837880587988,
+                   0.12372837880587988)
+        x, y = 0.01, 0.010000000000000007
+        got = pdf(AlphaBivariate(*weights), x, y)
+        exact = density_mpmath(weights, x, y, dps=30)
+        assert abs(got.value - exact) <= min(1e-10 * exact, got.error_estimate)
+        assert got.evaluations == 248
 
 
 class TestPdfGrid:

@@ -5,7 +5,7 @@ import pytest
 
 from bibeta.errors import ConvergenceError, DomainError
 from bibeta.special import (QuadratureResult, appell_f1, hyp2f1, integrate_jacobi_batch,
-                            integrate_unit, integrate_unit_batch, ln_beta_multi)
+                            integrate_unit, ln_beta_multi)
 from oracles import appell_f1_series, gauss_legendre_unit, hyp2f1_series
 
 
@@ -39,9 +39,9 @@ class TestIntegrateUnit:
         assert res.value == pytest.approx(math.pi, rel=1e-10)
 
     def test_arcsine_node_count_is_pinned(self):
-        # the node set per level is fixed: caching the tables must not move it
+        # the Chebyshev weight is the rule's own: 8 and 16 points agree
         res = integrate_unit(-0.5, -0.5, lambda t: np.ones_like(t))
-        assert res.evaluations == 111
+        assert res.evaluations == 24
 
     def test_exp_smooth_against_oracles(self):
         res = integrate_unit(0.5, 1.2, np.exp, tol=1e-12)
@@ -58,14 +58,20 @@ class TestIntegrateUnit:
         assert res.value == pytest.approx(math.exp(ln_beta_multi((a, b))), rel=1e-10)
 
     def test_budget_exhaustion_carries_best_estimate(self):
-        # cos(1e4 t) oscillates faster than 10 levels resolve
+        # cos(1e4 t) oscillates faster than 128 points resolve
         with pytest.raises(ConvergenceError) as err:
             integrate_unit(0.0, 0.0, lambda t: np.cos(1e4 * t), tol=1e-10)
         best = err.value.result
         assert isinstance(best, QuadratureResult)
         assert math.isfinite(best.value)
-        assert best.evaluations == 6357
-        assert "within 10 levels (6357 evaluations)" in str(err.value)
+        assert best.evaluations == 248
+        assert "within 128 points (248 evaluations)" in str(err.value)
+
+    def test_a_factor_that_is_not_finite_is_rejected(self):
+        with pytest.raises(DomainError):
+            integrate_unit(0.0, 0.0, lambda t: np.where(t > 0.5, np.inf, 1.0))
+        with pytest.raises(DomainError):
+            integrate_unit(0.0, 0.0, lambda t: np.where(t > 0.5, np.nan, 1.0))
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):
@@ -85,102 +91,11 @@ class TestIntegrateUnit:
             QuadratureResult(1.0, 0.0, 0)
 
 
-class TestIntegrateUnitBatch:
-    def test_rows_match_the_scalar_rule(self):
-        # rows that need different depths stop on their own levels
-        rates = np.array([0.0, 1.0, 8.0, 40.0])
-
-        def smooth(t, one_minus_t, rows):
-            return np.exp(-rates[rows][:, None] * t)
-
-        batch = integrate_unit_batch(0.5, -0.3, smooth, rates.size, tol=1e-12)
-        assert batch.converged.all()
-        for i, c in enumerate(rates):
-            one = integrate_unit(0.5, -0.3, lambda t: np.exp(-c * t), tol=1e-12)
-            assert batch.value[i] == pytest.approx(one.value, rel=1e-15)
-            assert batch.evaluations[i] == one.evaluations
-        assert len(set(batch.evaluations)) > 1
-
-    def test_one_minus_t_stays_positive_where_t_rounds_to_1(self):
-        from bibeta.special import _weighted_nodes
-        t, one_minus_t, *_ = _weighted_nodes((0, 1, 2), 1.0, 1.0)
-        last = t == np.nextafter(1.0, 0.0)
-        assert last.any()
-        assert np.all(one_minus_t > 0.0)
-        assert np.all(one_minus_t[last] < 1.0 - t[last])
-        # so a factor that nearly vanishes at t = 1 is resolved from it:
-        # integral of (1e-20 + (1-t))**-0.9 over (0, 1)
-        batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows:
-                                     (1e-20 + one_minus_t) ** -0.9, 1, tol=1e-12)
-        exact = 10.0 * ((1.0 + 1e-20) ** 0.1 - 1e-2)
-        assert batch.converged[0]
-        assert batch.value[0] == pytest.approx(exact, rel=1e-10)
-
-    def test_unconverged_rows_are_flagged(self):
-        # cos(1e4 k t) oscillates faster than 10 levels resolve
-        rates = np.array([1e4, 2e4, 3e4])
-        batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows:
-                                     np.cos(rates[rows][:, None] * t), 3, tol=1e-10)
-        assert not batch.converged.any()
-        assert np.all(np.isfinite(batch.value))
-        assert batch.evaluations.tolist() == [6357] * 3
-
-    def test_non_finite_interior_raises(self):
-        with pytest.raises(DomainError):
-            integrate_unit_batch(0.0, 0.0,
-                                 lambda t, one_minus_t, rows: np.where(t > 0.5, np.inf, 1.0), 2)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_nodes_whose_weight_underflows_add_nothing(self, bad):
-        from bibeta.special import _weighted_nodes
-        # with p = 1 every node below t = 1e-165 has a weight that underflows
-        # to 0, and the levels 0-2 reach one; a factor that is inf or nan
-        # there adds nothing (values pinned as float.hex)
-        t, _, w, zeros, _ = _weighted_nodes((0, 1, 2), 2.0, 1.0)
-        assert zeros.size and np.all(t[zeros] < 1e-165) and np.all(w[t < 1e-165] == 0.0)
-        batch = integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows:
-                                     np.where(t < 1e-165, bad, 1.0 / (1.0 + t)), 1)
-        assert batch.value[0] == float.fromhex("0x1.3a37a020b8c22p-2")     # 1 - ln 2
-        assert (batch.evaluations[0], batch.converged[0]) == (94, True)
-        rates = np.array([0.0, 1.0, 3.0])
-        batch = integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows: np.where(
-            t < 1e-165, bad, np.exp(-rates[rows][:, None] * t)), rates.size)
-        assert batch.value.tolist() == [float.fromhex(v) for v in (
-            "0x1.0000000000001p-1", "0x1.0e95393a62190p-2", "0x1.6c79fd27cbc4cp-4")]
-        assert batch.evaluations.tolist() == [94, 94, 188]
-        # the same factor where the weight is still positive is an error
-        with pytest.raises(DomainError):
-            integrate_unit_batch(1.0, 0.0, lambda t, one_minus_t, rows:
-                                 np.where(t < 1e-100, bad, 1.0), 1)
-
-    def test_rejects_bad_exponents(self):
-        with pytest.raises(DomainError):
-            integrate_unit_batch(-1.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
-
-    def test_weights_are_cached_read_only_and_only_where_reached(self):
-        from bibeta.special import _weighted_nodes
-        _weighted_nodes.cache_clear()
-        # a constant integrand settles at level 3: the fused table for levels
-        # 0-2 and one table for level 3, nothing deeper
-        batch = integrate_unit_batch(0.0, 0.0, lambda t, one_minus_t, rows: 1.0, 1)
-        assert batch.converged[0]
-        assert _weighted_nodes.cache_info().currsize == 2
-        fused = _weighted_nodes((0, 1, 2), 1.0, 1.0)
-        assert fused is _weighted_nodes((0, 1, 2), 1.0, 1.0)
-        assert _weighted_nodes.cache_info().currsize == 2
-        t, _, w, zeros, ends = fused
-        assert not any(a.flags.writeable for a in fused[:3])
-        assert not zeros.flags.writeable
-        assert ends[-1] == t.size == w.size == batch.evaluations[0] - _weighted_nodes(
-            (3,), 1.0, 1.0)[0].size
-        assert _weighted_nodes.cache_info().maxsize is not None
-
-
 # (p, q) of the Gauss-Jacobi tests: a strong singularity against a high
 # power, the Chebyshev weight (p + q = -1, where the first off-diagonal entry
 # of the Jacobi matrix needs its cancelled form) and Gauss-Legendre
 JACOBI_WEIGHTS = [(-0.9, 4.0), (-0.5, -0.5), (0.0, 0.0)]
-LADDER = [8, 16, 32, 64]
+LADDER = [8, 16, 32, 64, 128]
 
 
 class TestJacobiRule:
@@ -234,40 +149,70 @@ class TestJacobiRule:
                 a[0] = 0.0
 
 
+def _column(values):
+    return np.asarray(values, dtype=float)[:, None]
+
+
+def _log_integral(h, pieces=64):
+    # log of the integral of exp(h) over (0, 1) in 40-digit arithmetic, on
+    # equal pieces, each scaled to order one (mpmath's rule stops on an
+    # absolute error)
+    import mpmath
+    with mpmath.workdps(40):
+        cuts = [mpmath.mpf(k) / pieces for k in range(pieces + 1)]
+        top = max(h(c) for c in cuts[1:-1])
+        total = mpmath.quad(lambda t: mpmath.exp(h(t) - top), cuts)
+        return float(mpmath.log(total) + top)
+
+
 class TestIntegrateJacobiBatch:
-    def test_rows_settle_on_their_own_rules_and_the_rest_fall_back(self):
-        rates = np.array([0.0, 1.0, 8.0, 40.0, 300.0])
-
-        def smooth(t, one_minus_t, rows):
-            return np.exp(-rates[rows][:, None] * t)
-
-        batch = integrate_jacobi_batch(0.5, -0.3, smooth, rates.size, 1e-12)
+    def test_rows_settle_on_their_own_rules_and_the_rest_go_to_the_peak(self):
+        # t**0.5 (1-t)**-0.3 ((1 + c t) (1 + c (1-t)))**300: flat at c = 0,
+        # a peak of width 0.02 at c = 9, which 128 points do not settle
+        c = np.array([0.0, 1e-3, 1.0, 9.0])
+        ones = _column(np.ones(c.size))
+        factors = [(ones, _column(c), 300.0, False, None), (ones, _column(c), 300.0, True, None)]
+        batch = integrate_jacobi_batch(0.5, -0.3, factors, c.size, 1e-12)
         assert batch.converged.all()
-        # 8 + 16 points, then 32, then 64; the steepest row is handed on
-        assert batch.evaluations[:4].tolist() == [24, 24, 56, 120]
-        assert batch.fallback.tolist() == [False] * 4 + [True]
-        assert batch.evaluations[4] > 120
-        for i, c in enumerate(rates):
-            one = integrate_unit(0.5, -0.3, lambda t: np.exp(-c * t), tol=1e-13)
-            assert batch.value[i] == pytest.approx(one.value, rel=1e-14)
+        # 8 + 16 points, then 32, 64 and 128; the last row goes on
+        assert batch.evaluations[:3].tolist() == [24, 24, 248]
+        assert batch.evaluations[3] > 248
+        assert batch.log_scale[:3].tolist() == [0.0, 0.0, 0.0] and batch.log_scale[3] > 700.0
+        for i, ci in enumerate(c):
+            import mpmath
+            exact = _log_integral(lambda t: 0.5 * mpmath.log(t) - 0.3 * mpmath.log(1 - t)
+                                  + 300 * mpmath.log((1 + ci * t) * (1 + ci * (1 - t))))
+            got = math.log(batch.value[i]) + batch.log_scale[i]
+            assert got == pytest.approx(exact, rel=0.0, abs=1e-12)
             assert batch.abs_error_estimate[i] <= 1e-12 * batch.value[i]
+
+    def test_rows_match_the_plain_ladder(self):
+        # rows that need different rules stop on their own, with the bits of
+        # integrate_unit, the ladder on a batch of one
+        c = np.array([0.0, 1.0, 8.0, 40.0])
+        factors = [(_column(np.ones(c.size)), _column(c), -3.0, False, None)]
+        batch = integrate_jacobi_batch(0.5, -0.3, factors, c.size, 1e-12)
+        assert batch.converged.all()
+        for i, ci in enumerate(c):
+            one = integrate_unit(0.5, -0.3, lambda t: np.power(1.0 + ci * t, -3.0), tol=1e-12)
+            assert (batch.value[i], batch.abs_error_estimate[i]) == (
+                one.value, one.abs_error_estimate)
+            assert batch.evaluations[i] == one.evaluations
+        assert len(set(batch.evaluations.tolist())) == 4
 
     def test_rows_match_a_batch_of_one_bit_for_bit(self):
         # near and far ends in one batch: two rows on each layout of pieces,
         # which settle on different rules
         delta = np.array([1e-12, 1e-3, 0.3, 0.9, 1e-5, 1e-10, 2.0, 0.07])
         right = np.array([0.7, 0.2, 1e-9, 1e-2, 1e-3, 1e-7, 3.0, 0.06])
-
-        def smooth(t, one_minus_t, rows):
-            d, r = delta[rows][:, None], right[rows][:, None]
-            return (d + t) ** -0.4 * (r + one_minus_t) ** 0.3
-
-        batch = integrate_jacobi_batch(-0.2, 0.6, smooth, delta.size, 1e-10, delta, right)
+        ones = _column(np.ones(delta.size))
+        batch = integrate_jacobi_batch(
+            -0.2, 0.6, [(_column(delta), ones, -0.4, False, delta),
+                        (_column(right), ones, 0.3, True, right)], delta.size, 1e-10)
         for i in range(delta.size):
-            one = integrate_jacobi_batch(
-                -0.2, 0.6, lambda t, one_minus_t, rows, i=i:
-                (delta[i] + t) ** -0.4 * (right[i] + one_minus_t) ** 0.3,
-                1, 1e-10, float(delta[i]), float(right[i]))
+            d, r = float(delta[i]), float(right[i])
+            one = integrate_jacobi_batch(-0.2, 0.6, [(d, 1.0, -0.4, False, d),
+                                                     (r, 1.0, 0.3, True, r)], 1, 1e-10)
             assert (one.value[0], one.abs_error_estimate[0]) == (
                 batch.value[i], batch.abs_error_estimate[i])
             assert one.evaluations[0] == batch.evaluations[i]
@@ -279,29 +224,56 @@ class TestIntegrateJacobiBatch:
         # (0, 1), and of their product, with the branch points given
         half = 2.0 * (math.sqrt(1.0 + delta) - math.sqrt(delta))
         both = math.pi - 4.0 * math.asin(math.sqrt(delta / (1.0 + 2.0 * delta)))
-        cases = [(lambda t, one_minus_t, rows: (delta + t) ** -0.5, (delta, None), half),
-                 (lambda t, one_minus_t, rows: (delta + one_minus_t) ** -0.5, (None, delta),
-                  half),
-                 (lambda t, one_minus_t, rows: ((delta + t) * (delta + one_minus_t)) ** -0.5,
-                  (delta, delta), both)]
-        for smooth, branches, exact in cases:
-            batch = integrate_jacobi_batch(0.0, 0.0, smooth, 1, 1e-10, *branches)
-            assert batch.converged[0] and not batch.fallback[0]
+        left, right = (delta, 1.0, -0.5, False, delta), (delta, 1.0, -0.5, True, delta)
+        for factors, exact in [([left], half), ([right], half), ([left, right], both)]:
+            batch = integrate_jacobi_batch(0.0, 0.0, factors, 1, 1e-10)
+            assert batch.converged[0] and batch.log_scale is None
             assert batch.value[0] == pytest.approx(exact, rel=1e-13)
             # every piece at 8, 16, 32 and 64 points at most
             assert batch.evaluations[0] <= 3 * 120
 
-    def test_unsettled_rows_carry_the_fallback_result(self):
-        # cos(1e4 t) oscillates faster than 64 points or 10 levels resolve
-        batch = integrate_jacobi_batch(0.0, 0.0, lambda t, one_minus_t, rows:
-                                       np.cos(1e4 * t), 1, 1e-10)
-        assert batch.fallback[0] and not batch.converged[0]
-        assert batch.evaluations[0] == 120 + 6357
+    def test_one_minus_t_stays_positive_where_t_rounds_to_1(self):
+        # the mapped right end: nodes 1e-20 from t = 1 round t to 1, and
+        # 1 - t is the distance itself
+        from bibeta.special import _step_nodes
+        t, one_minus_t, _, _ = _step_nodes(0, 0.0, 0.0, (False, True), None,
+                                           (1e-20, math.log1p(0.125 / 1e-20)))
+        assert np.any(t == 1.0) and np.all(one_minus_t > 0.0)
+        # so a factor that nearly vanishes at t = 1 is resolved from it:
+        # integral of (1e-20 + (1-t))**-0.9 over (0, 1)
+        batch = integrate_jacobi_batch(0.0, 0.0, [(1e-20, 1.0, -0.9, True, 1e-20)], 1, 1e-12)
+        assert batch.converged[0]
+        assert batch.value[0] == pytest.approx(10.0 * ((1.0 + 1e-20) ** 0.1 - 1e-2), rel=1e-10)
 
-    def test_a_factor_that_is_not_finite_is_rejected(self):
-        with pytest.raises(DomainError):
-            integrate_jacobi_batch(0.0, 0.0, lambda t, one_minus_t, rows:
-                                   np.where(t > 0.5, np.inf, 1.0), 2, 1e-10)
+    @pytest.mark.parametrize("e", [1500.0, -1500.0])
+    def test_a_sum_past_the_float_range_is_summed_in_logs(self, e):
+        # (1 + t)**e (2 - t)**e overflows or underflows at every node: the
+        # row goes straight from the 8 + 16 points to the peak layout
+        factors = [(1.0, 1.0, e, False, None), (1.0, 1.0, e, True, None)]
+        batch = integrate_jacobi_batch(0.0, 0.0, factors, 1, 1e-10)
+        assert batch.converged[0]
+        assert abs(batch.log_scale[0]) > 700.0
+        import mpmath
+        exact = _log_integral(lambda t: e * mpmath.log((1 + t) * (2 - t)))
+        got = math.log(batch.value[0]) + batch.log_scale[0]
+        # to 1e-10 relative in the integral; the terms' logs, about 1000,
+        # carry rounding of some 1e-13 each
+        assert got == pytest.approx(exact, rel=0.0, abs=1e-10)
+        assert batch.abs_error_estimate[0] <= 1e-10 * batch.value[0]
+
+    def test_unsettled_rows_are_flagged(self):
+        # cos(1e4 k t) oscillates faster than 128 points resolve; the plain
+        # ladder hands back every row with its last estimate
+        from bibeta.special import _run_ladder
+        rates = np.array([1e4, 2e4, 3e4])
+        out = (np.empty(3), np.empty(3), np.empty(3, dtype=np.int64), np.zeros(3, dtype=bool))
+        rest = _run_ladder(0.0, 0.0, (False, False), lambda t, one_minus_t, rows:
+                           np.cos(rates[rows][:, None] * t), np.arange(3), None, None, 1e-10,
+                           out)
+        assert rest.tolist() == [0, 1, 2]
+        assert not out[3].any()
+        assert np.all(np.isfinite(out[0]))
+        assert out[2].tolist() == [248] * 3
 
 
 class TestHyp2F1:
@@ -333,18 +305,30 @@ class TestHyp2F1:
             hyp2f1(0.7, 1.3, 2.2, 0.4), rel=1e-9)
 
     # float.hex pins of the Euler-integral values: far out on the negative
-    # axis, near the branch point z = 1, and the two early returns
+    # axis, near the branch point z = 1, and the two early returns; each
+    # within 1.0e-15 of 30-digit mpmath.hyp2f1 at the same arguments
     @pytest.mark.parametrize("abcz,pin", [
-        ((0.3, 1.2, 2.5, -3.0), "0x1.91288192565fap-1"),
-        ((2.5, 0.4, 1.1, -40.0), "0x1.0eee3eb5282b2p-3"),
-        ((0.5, 0.7, 2.2, 1.0 - 1e-9), "0x1.5e4610fb1fccdp+0"),
-        ((-0.6, 1.3, 2.1, 0.999999), "0x1.085968b6ce882p-1"),
-        ((1.5, 0.7, 2.2, 0.999), "0x1.a9a7d51caec8bp+2"),
+        ((0.3, 1.2, 2.5, -3.0), "0x1.91288192565f1p-1"),
+        ((2.5, 0.4, 1.1, -40.0), "0x1.0eee3eb5282b0p-3"),
+        ((0.5, 0.7, 2.2, 1.0 - 1e-9), "0x1.5e4610fb1fccap+0"),
+        ((-0.6, 1.3, 2.1, 0.999999), "0x1.085968b6ce885p-1"),
+        ((1.5, 0.7, 2.2, 0.999), "0x1.a9a7d51caec99p+2"),
         ((0.7, 1.3, 2.0, 0.0), "0x1.0000000000000p+0"),
         ((0.0, 1.3, 2.0, 0.5), "0x1.0000000000000p+0"),
     ])
     def test_values_are_pinned(self, abcz, pin):
         assert hyp2f1(*abcz).hex() == pin
+
+    # the factor 1 - z t nearly vanishes at t = 1 as z -> 1, and is large
+    # at t = 1 for z << 0: the kernel maps the branch point 1/z away
+    @pytest.mark.parametrize("z", [1.0 - 10.0 ** -k for k in (3, 6, 9, 12)]
+                             + [-10.0 ** k for k in (3, 5, 8)])
+    @pytest.mark.parametrize("abc", [(0.5, 0.7, 2.2), (-1.3, 1.6, 2.1), (2.4, 0.3, 0.9)])
+    def test_near_the_branch_point_against_mpmath(self, abc, z):
+        import mpmath
+        with mpmath.workdps(30):
+            exact = float(mpmath.hyp2f1(*abc, z))
+        assert hyp2f1(*abc, z) == pytest.approx(exact, rel=1e-9)
 
     def test_rejects_outside_domain(self):
         with pytest.raises(DomainError):
@@ -387,6 +371,33 @@ class TestAppellF1:
         # F1 with z1 = z2 = z degenerates to a Gauss function of b1 + b2
         assert appell_f1(a, b1, b2, c, z, z) == pytest.approx(
             hyp2f1(b1 + b2, a, c, z), rel=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 5, 8, 11])
+    @pytest.mark.parametrize("tup", [(0.8, 0.6, -1.2, 2.3), (2.1, -0.7, 1.4, 2.9),
+                                     (0.4, 1.3, 0.5, 3.6)])
+    def test_near_the_branch_points_against_mpmath(self, tup, k):
+        # z1 -> 1 and z2 << 0 together, against the Euler integral in
+        # 30-digit arithmetic at the same arguments: each half in the
+        # distance s from its end, cut at geometric distances from the
+        # branch point beyond that end
+        import mpmath
+        a, b1, b2, c = tup
+        z1, z2 = 1.0 - 10.0 ** -k, -(10.0 ** (k - 2))
+        with mpmath.workdps(30):
+            a_, b1_, b2_, c_, z1_, z2_ = map(mpmath.mpf, (a, b1, b2, c, z1, z2))
+
+            def half(f, near):
+                cuts = {mpmath.mpf(0), mpmath.mpf(0.5)}
+                cuts |= {near * 10 ** j for j in range(k + 1) if near * 10 ** j < 0.5}
+                return mpmath.quad(f, sorted(cuts))
+
+            integral = (half(lambda s: s ** (a_ - 1) * (1 - s) ** (c_ - a_ - 1)
+                             * (1 - z1_ * s) ** -b1_ * (1 - z2_ * s) ** -b2_, -1 / z2_)
+                        + half(lambda s: (1 - s) ** (a_ - 1) * s ** (c_ - a_ - 1)
+                               * (1 - z1_ + z1_ * s) ** -b1_ * (1 - z2_ + z2_ * s) ** -b2_,
+                               (1 - z1_) / z1_))
+            exact = float(integral / mpmath.beta(a_, c_ - a_))
+        assert appell_f1(a, b1, b2, c, z1, z2) == pytest.approx(exact, rel=1e-9)
 
     def test_rejects_outside_domain(self):
         with pytest.raises(DomainError):
