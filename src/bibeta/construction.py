@@ -25,6 +25,8 @@ __all__ = [
     "sample_trivariate",
 ]
 
+# rows of gamma draws the samplers hold at once: 2 MB for four shares
+_BLOCK = 1 << 16
 # samples are nudged into the open interval; astronomically rare underflow
 # of a Dirichlet share would otherwise produce an exact 0 or 1
 _OPEN_LO = float(np.nextafter(0.0, 1.0))
@@ -208,7 +210,7 @@ def _finite_rows(n: int, draw) -> np.ndarray:
     Such a row comes from gamma draws that all underflowed to 0, possible
     only for extreme tiny weights, and its 0/0 runs silently here.  One
     whole-array test passes the first draw; row indices are built only when
-    it fails, from the flat indices of the bad entries.
+    it fails.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         out = draw(n)
@@ -216,7 +218,7 @@ def _finite_rows(n: int, draw) -> np.ndarray:
             return out
         todo, rows = np.arange(n), out
         for _ in range(8):
-            todo = todo[np.unique(np.flatnonzero(~np.isfinite(rows)) // rows.shape[1])]
+            todo = todo[np.flatnonzero(~np.isfinite(rows).all(axis=1))]
             rows = draw(todo.size)
             out[todo] = rows
             if np.isfinite(rows).all():
@@ -250,18 +252,24 @@ def _sum_shares(a: np.ndarray, n: int, stream: RandomStream, cells) -> np.ndarra
     """n Dirichlet(a) rows collapsed to one column per entry of ``cells``,
     each the left-to-right sum of the shares it lists, clipped into (0, 1).
 
-    Only the shares some cell uses are divided by the row total, in place,
-    and the sums are written straight into the output.
+    The gamma draws come in blocks of ``_BLOCK`` rows, read from the stream
+    in order, so the rows match one draw of all of them; only the shares
+    some cell uses are divided by the row total, in place, and the sums are
+    written straight into the output.
     """
+    used = sorted({j for cell in cells for j in cell})
+
     def draw(m):
-        draws, totals = _gamma_rows(a, m, stream)
-        for j in sorted({j for cell in cells for j in cell}):
-            np.divide(draws[:, j], totals, out=draws[:, j])
         out = np.empty((m, len(cells)))
-        for col, (first, second, *rest) in enumerate(cells):
-            np.add(draws[:, first], draws[:, second], out=out[:, col])
-            for j in rest:
-                out[:, col] += draws[:, j]
+        for start in range(0, m, _BLOCK):
+            block = out[start:start + _BLOCK]
+            draws, totals = _gamma_rows(a, len(block), stream)
+            for j in used:
+                np.divide(draws[:, j], totals, out=draws[:, j])
+            for col, (first, second, *rest) in enumerate(cells):
+                np.add(draws[:, first], draws[:, second], out=block[:, col])
+                for j in rest:
+                    block[:, col] += draws[:, j]
         return out
 
     out = _finite_rows(n, draw)

@@ -189,19 +189,85 @@ def _integrands(alpha: AlphaBivariate) -> types.MappingProxyType:
     return types.MappingProxyType(out)
 
 
-def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
-    """Density at points that share the sign pattern ``signs`` of (d, x - y),
-    with d = x + y - 1 from ``_sum_minus_one``: the share-range integral,
-    rescaled to (0, 1), from ``integrate_jacobi_batch``, times its
-    prefactor.
+# the sign patterns (sign(d), sign(x - y)) by their code 3 * (sign(d) + 1)
+# + sign(x - y) + 1, in the order pdf_points sorts points: the four
+# triangles, then the half-lines and the center, whose points are few and
+# share the kernel's steps
+_ORDER = (0, 2, 6, 8, 1, 3, 5, 7, 4)
+# the rank of a divergent pattern, past the nine
+_DIVERGENT = 9
 
-    ``x``, ``y`` and ``d`` are 1-D arrays, or floats for a batch of one, which
-    then steps through the kernel on scalars.  Every factor that vanishes at
-    an endpoint moves into the endpoint exponents, which the pattern fixes;
-    the rest stays in the smooth part, and the kernel gets the distance of
-    each remaining factor's branch point from its end of (0, 1): |d|/scale
-    for the share factor at t = 0, |x - y|/scale for the gap factor at
-    t = 1.  The exponents and ln B(alpha) are formed once per weight set
+
+class _Columns(NamedTuple):
+    """``_integrands`` by rank in ``_ORDER``, in read-only arrays: ``rank``
+    maps a pattern code to its rank, or to ``_DIVERGENT`` where the integral
+    diverges; ``fields`` holds a row per field of ``_FIELDS``, a column per
+    rank.  An absent factor has exponent 0 and no map, a divergent pattern
+    zeros."""
+
+    rank: np.ndarray
+    fields: np.ndarray
+    ln_beta: float
+
+
+# the rows of ``_Columns.fields``: a branch flag is 1.0 or 0.0, and ``lead``
+# is the power 1 + p + q of the share range's length in the prefactor
+_FIELDS = ("p", "q", "share_exp", "gap_exp", "share_branch", "gap_branch", "size", "lead")
+
+
+@functools.lru_cache(maxsize=256)
+def _columns(alpha: AlphaBivariate) -> _Columns:
+    patterns = tuple(_integrands(alpha).values())
+    patterns = [patterns[code] for code in _ORDER]
+    rows = []
+    for name in _FIELDS:
+        row = []
+        for i in patterns:
+            v = None if i is None else (1.0 + i.p + i.q if name == "lead" else getattr(i, name))
+            row.append(0.0 if v is None else float(v))
+        rows.append(row)
+    rank = np.empty(len(_ORDER), dtype=np.int8)
+    for r, (code, i) in enumerate(zip(_ORDER, patterns)):
+        rank[code] = _DIVERGENT if i is None else r
+    fields = np.array(rows)
+    rank.flags.writeable = fields.flags.writeable = False
+    return _Columns(rank, fields, ln_beta_multi((alpha.a11, alpha.a10, alpha.a01, alpha.a00)))
+
+
+def _integrate(p, q, factors, n, ln_scale, ln_unit, ln_beta, size, tol):
+    """The density from ``integrate_jacobi_batch``'s integral of the rescaled
+    integrand and its prefactor, summed in logs: ``(value, error_estimate,
+    batch)``, with the kernel's ``BatchQuadrature`` last.  ``ln_scale`` is
+    ``(1 + p + q) * log(scale)``, the log of the share range's length to the
+    power it carries."""
+    batch = integrate_jacobi_batch(p, q, factors, n, tol)
+    # in logs: a prefactor past the float range meets its integral first, and
+    # a density that still overflows reads inf, not inf * 0 = nan in its error
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = np.log((batch.value, batch.abs_error_estimate))
+        if batch.log_scale is not None:
+            logs = logs + batch.log_scale
+        value, error = np.exp(ln_scale + ln_unit - ln_beta + logs)
+        # at most 1: an integral that underflowed to 0 keeps its error
+        rounding = _ROUNDING * (size + abs(ln_scale) + abs(ln_unit) + abs(logs[0]))
+        error = error + value * np.minimum(rounding, 1.0)
+    return value, error, batch
+
+
+def _density_batch(alpha: AlphaBivariate, pattern, x, y, d, tol: float):
+    """Density at points, with d = x + y - 1 from ``_sum_minus_one``: the
+    share-range integral, rescaled to (0, 1), from ``integrate_jacobi_batch``,
+    times its prefactor.
+
+    ``x``, ``y`` and ``d`` are 1-D arrays and ``pattern`` their pattern codes
+    (``_Columns``), all integrated in one kernel call, or floats for a batch
+    of one and ``pattern`` its sign pattern (sign(d), sign(x - y)), which then
+    steps through the kernel on scalars.  Every factor that vanishes at an
+    endpoint moves into the endpoint exponents, which the pattern fixes; the
+    rest stays in the smooth part, and the kernel gets the distance of each
+    remaining factor's branch point from its end of (0, 1): |d|/scale for
+    the share factor at t = 0, |x - y|/scale for the gap factor at t = 1.
+    The exponents and ln B(alpha) are formed once per weight set
     (``_integrands``).
 
     The error estimate is the kernel's, carried through the prefactor, plus
@@ -209,55 +275,61 @@ def _density_batch(alpha: AlphaBivariate, signs: tuple, x, y, d, tol: float):
     logarithm is summed from (the log-gammas of ln B(alpha) among them) and
     the exponents of the integrand's factors.  Returns per-point ``(value,
     error_estimate, converged, evaluations)`` arrays and whether the
-    integral diverges for the whole pattern; a divergent pattern reads
-    ``(inf, 0, True, 0)`` without integrating.  A convergent integral whose
-    density overflows also reads ``inf``.
+    integral diverges, per point or, for a batch of one, as a bool; a point
+    on a divergent line reads ``(inf, 0, True, 0)`` without reaching the
+    kernel.  A convergent integral whose density overflows also reads
+    ``inf``.
     """
-    columns = isinstance(x, np.ndarray)
-    n = x.size if columns else 1
-    integrand = _integrands(alpha)[signs]
+    if isinstance(x, np.ndarray):
+        return _density_rows(alpha, pattern, x, y, d, tol)
+    integrand = _integrands(alpha)[pattern]
     if integrand is None:
-        return (np.full(n, math.inf), np.zeros(n), np.ones(n, dtype=bool),
-                np.zeros(n, dtype=np.int64), True)
+        return (np.full(1, math.inf), np.zeros(1), np.ones(1, dtype=bool),
+                np.zeros(1, dtype=np.int64), True)
     # the share range runs from max(0, d) up to min(x, y); max, min, abs and
     # / on floats round as numpy's do, so a batch of one keeps its bits
-    if columns:
-        biggest, smallest, col = np.maximum, np.minimum, (lambda v: v[:, None])
-    else:
-        biggest, smallest, col = max, min, (lambda v: v)
-    scale = 1.0 - biggest(x, y) if signs[0] > 0.0 else smallest(x, y)
+    scale = 1.0 - max(x, y) if pattern[0] > 0.0 else min(x, y)
 
     # (base, slope, exponent, from_right, branch): base + slope*t, or from
     # the top |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its
-    # digits where both are subnormal (|d| never is); columns against the
-    # node row, or scalars for a batch of one, whose sums then stay scalars.
-    # A branch distance past the float range (a subnormal scale) reads inf:
-    # far.
+    # digits where both are subnormal (|d| never is); scalars, so that the
+    # kernel's sums stay scalars.  A branch distance past the float range (a
+    # subnormal scale) reads inf: far.
     factors, ln_unit = [], 0.0
     with np.errstate(over="ignore"):
         if integrand.share_exp is not None:
-            factors.append((col(abs(d)), col(scale), integrand.share_exp, False,
+            factors.append((abs(d), scale, integrand.share_exp, False,
                             abs(d) / scale if integrand.share_branch else None))
         if integrand.gap_exp is not None:
             gap = abs(x - y)
-            unit = biggest(gap, scale)
-            factors.append((col(gap / unit), col(scale / unit), integrand.gap_exp, True,
+            unit = max(gap, scale)
+            factors.append((gap / unit, scale / unit, integrand.gap_exp, True,
                             gap / scale if integrand.gap_branch else None))
             ln_unit = integrand.gap_exp * np.log(unit)
-
     p, q = integrand.p, integrand.q
-    batch = integrate_jacobi_batch(p, q, factors, n, tol)
-    ln_scale = (1.0 + p + q) * np.log(scale)
-    # in logs: a prefactor past the float range meets its integral first, and
-    # a density that still overflows reads inf, not inf * 0 = nan in its error
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        logs = np.log((batch.value, batch.abs_error_estimate))
-        if batch.log_scale is not None:
-            logs = logs + batch.log_scale
-        value, error = np.exp(ln_scale + ln_unit - integrand.ln_beta + logs)
-        # at most 1: an integral that underflowed to 0 keeps its error
-        rounding = _ROUNDING * (integrand.size + abs(ln_scale) + abs(ln_unit) + abs(logs[0]))
-        error = error + value * np.minimum(rounding, 1.0)
+    value, error, batch = _integrate(p, q, factors, 1, (1.0 + p + q) * np.log(scale), ln_unit,
+                                     integrand.ln_beta, integrand.size, tol)
+    return value, error, batch.converged, batch.evaluations, False
+
+
+def _density_rows(alpha: AlphaBivariate, rank, x, y, d, tol: float):
+    """``_density_batch`` on arrays of points off the divergent lines: the
+    scalar path's operations, per point, on columns against the node row,
+    with the pattern's fields looked up per point (``_columns``).  A factor
+    absent on a line has exponent 0 there, so it is 1, and a branch point
+    the kernel does not map is at ``inf``."""
+    columns = _columns(alpha)
+    p, q, share_exp, gap_exp, share_branch, gap_branch, size, lead = columns.fields[:, rank]
+    scale = np.where(d > 0.0, 1.0 - np.maximum(x, y), np.minimum(x, y))
+    depth, gap = abs(d), abs(x - y)
+    unit = np.maximum(gap, scale)
+    with np.errstate(over="ignore"):
+        factors = [(depth[:, None], scale[:, None], share_exp, False,
+                    np.where(share_branch, depth / scale, math.inf)),
+                   ((gap / unit)[:, None], (scale / unit)[:, None], gap_exp, True,
+                    np.where(gap_branch, gap / scale, math.inf))]
+    value, error, batch = _integrate(p, q, factors, rank.size, lead * np.log(scale),
+                                     gap_exp * np.log(unit), columns.ln_beta, size, tol)
     return value, error, batch.converged, batch.evaluations, False
 
 
@@ -428,7 +500,9 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
     if x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf":
         raise DomainError("point coordinates must be arrays of real numbers, got "
                           f"{x.dtype} and {y.dtype}")
-    x, y = np.broadcast_arrays(x.astype(float, copy=False), y.astype(float, copy=False))
+    x, y = x.astype(float, copy=False), y.astype(float, copy=False)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
     shape = x.shape
     x, y = x.ravel(), y.ravel()
     inside = (0.0 < x) & (x < 1.0) & (0.0 < y) & (y < 1.0)
@@ -437,24 +511,26 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
         raise DomainError(f"point ({float(x[i])!r}, {float(y[i])!r}) lies outside "
                           "the open unit square")
     d = _sum_minus_one(x, y)
-    value = np.empty(x.size)
-    error = np.empty(x.size)
-    diverged = np.zeros(x.size, dtype=bool)
-    evaluations = np.empty(x.size, dtype=np.int64)
-    d_sign, s_sign = np.sign(d), np.sign(x - y)
-    pattern = 3 * d_sign + s_sign
-    for key in np.unique(pattern):
-        points = np.flatnonzero(pattern == key)
-        signs = d_sign[points[0]], s_sign[points[0]]
-        for start in range(0, points.size, _CHUNK):
-            rows = points[start:start + _CHUNK]
-            v, e, converged, n, div = _density_batch(alpha, signs, x[rows], y[rows],
-                                                     d[rows], tol)
-            if not converged.all():
-                i = rows[np.argmin(converged)]
-                raise ConvergenceError(f"density at ({float(x[i])!r}, {float(y[i])!r}) "
-                                       f"did not reach tol={tol:g}")
-            value[rows], error[rows], evaluations[rows], diverged[rows] = v, e, n, div
+    # each point's pattern rank, or _DIVERGENT, and the points in order of
+    # it: a chunk then holds each pattern's points as one run of the kernel's
+    # rows, and the points on a divergent line, last, read inf without
+    # reaching it
+    rank = _columns(alpha).rank[(3.0 * np.sign(d) + np.sign(x - y) + 4.0).astype(np.intp)]
+    order = np.argsort(rank, kind="stable")
+    diverged = rank == _DIVERGENT
+    value = np.full(x.size, math.inf)
+    error = np.zeros(x.size)
+    evaluations = np.zeros(x.size, dtype=np.int64)
+    live = x.size - np.count_nonzero(diverged)
+    for start in range(0, live, _CHUNK):
+        rows = order[start:min(start + _CHUNK, live)]
+        v, e, converged, n, _ = _density_batch(alpha, rank[rows], x[rows], y[rows], d[rows],
+                                               tol)
+        if not converged.all():
+            i = rows[np.argmin(converged)]
+            raise ConvergenceError(f"density at ({float(x[i])!r}, {float(y[i])!r}) "
+                                   f"did not reach tol={tol:g}")
+        value[rows], error[rows], evaluations[rows] = v, e, n
     return DensityArrays(value.reshape(shape), error.reshape(shape),
                          diverged.reshape(shape), evaluations.reshape(shape))
 

@@ -385,11 +385,17 @@ def _fit(m: MomentVector, opts: FitOptions, third_targets=None) -> FitResult:
             return np.vstack((_five_jacobian(alpha), _third_jacobian(alpha)))
 
     theta_base = np.log(initial_guess(m).as_array())
-    rng = RandomStream(opts.seed).generator
     best = None
     nit = nfev = 0
     for used in range(1, opts.restarts + 1):
-        theta0 = theta_base if used == 1 else theta_base + rng.uniform(-0.3, 0.3, size=4)
+        if used == 1:
+            theta0 = theta_base
+        else:
+            # the jitter's stream, made only once a restart runs: nothing is
+            # drawn before, and numpy.random stays unloaded until then
+            if used == 2:
+                rng = RandomStream(opts.seed).generator
+            theta0 = theta_base + rng.uniform(-0.3, 0.3, size=4)
         res = minimize(residuals, theta0, jacobian=jacobian, maxiter=opts.max_iterations,
                        ftol=opts.objective_tolerance)
         nit += res.nit

@@ -126,6 +126,11 @@ _CUT = 0.125
 _SMOOTH = 5.0
 # steps of the peak search's Newton iteration, at most
 _STEPS = 40
+# nodes that one step evaluates at once, at most: 128 KB a table.  Larger
+# temporaries are slower to come by, as the allocator hands them back to
+# the system when freed (a 1600-row step took 1.2 times as long on
+# x86_64 with glibc)
+_BATCH = 1 << 14
 # where the peak search looks at the slope of an end
 _END = 1e-9
 # a ladder sum below _UNDERFLOW / tol may have lost the digits of its terms
@@ -232,35 +237,53 @@ def _ladder_step(step: int, p: float, q: float, near_left: bool, near_right: boo
     return fixed, tuple(mapped), tuple(placement), ends
 
 
-def _map_end(w, w_weight, delta, log_span, e_near, e_far):
+@functools.lru_cache(maxsize=64)
+def _stacked_step(step: int, pqs: tuple, near_left: bool, near_right: bool):
+    """``_ladder_step``'s tables for each ``(p, q)`` of ``pqs``, stacked on
+    a new first axis.  The layout fixes the placement and the rules' ends,
+    whatever the powers."""
+    steps = [_ladder_step(step, p, q, near_left, near_right) for p, q in pqs]
+    fixed = tuple(np.stack(a) for a in zip(*(tables[0] for tables in steps)))
+    mapped = tuple(tuple(np.stack(a) for a in zip(*end))
+                   for end in zip(*(tables[1] for tables in steps)))
+    for a in itertools.chain(fixed, *mapped):
+        a.flags.writeable = False
+    return fixed, mapped, steps[0][2], steps[0][3]
+
+
+def _map_end(w, w_weight, delta, log_span, parts, near):
     """``(s, 1-s, weight)`` on the piece (0, _CUT) under ``s = delta *
     expm1(w * log_span)``, ``s`` the distance to the near end, which turns a
     factor ``(delta + s)**e`` into ``delta**e * exp(e * w * log_span)``.
     The weight is the rule's ``W / w**e_near`` times ``s**e_near *
-    (1-s)**e_far`` and the Jacobian ``log_span * (delta + s)``."""
+    (1-s)**e_far`` and the Jacobian ``log_span * (delta + s)``, with
+    ``parts`` listing ``(rows, powers)``: a slice of the rows and their
+    ``(p, q, ...)``, ``e_near`` ``powers[near]``."""
     s = delta * np.expm1(w * log_span)
     one_minus_s = 1.0 - s
     weight = w_weight * log_span * (delta + s)
-    if e_near:
-        weight = weight * s ** e_near
-    if e_far:
-        weight = weight * one_minus_s ** e_far
+    for rows, powers in parts:
+        e_near, e_far = powers[near], powers[1 - near]
+        if e_near:
+            weight[rows] *= s[rows] ** e_near
+        if e_far:
+            weight[rows] *= one_minus_s[rows] ** e_far
     return s, one_minus_s, weight
 
 
-def _step_nodes(step, p, q, layout, left, right):
-    """``(t, 1-t, weight, ends)`` of one ladder step for the active rows:
-    1-D where no end is mapped or for a batch of one, else shaped (rows,
-    nodes).  ``left`` and ``right`` are ``(delta, log_span)`` of the mapped
-    ends, columns or floats, or None."""
-    fixed, mapped, placement, ends = _ladder_step(step, p, q, *layout)
+def _placed(tables, left, right, parts):
+    """``(t, 1-t, weight, ends)`` of one ladder step from its tables
+    (``_ladder_step``, or gathered per row), with the mapped ends formed for
+    the rows' ``left`` and ``right`` and their powers ``parts``
+    (``_map_end``)."""
+    fixed, mapped, placement, ends = tables
     if not mapped:
         return (*fixed, ends)
     sources = [fixed]
     if left is not None:
-        sources.append(_map_end(*mapped[0], *left, p, q))
+        sources.append(_map_end(*mapped[0], *left, parts, 0))
     if right is not None:
-        s, one_minus_s, w = _map_end(*mapped[-1], *right, q, p)
+        s, one_minus_s, w = _map_end(*mapped[-1], *right, parts, 1)
         sources.append((one_minus_s, s, w))
     shape = sources[1][0].shape[:-1] + (ends[-1],)
     out = []
@@ -272,25 +295,130 @@ def _step_nodes(step, p, q, layout, left, right):
     return (*out, ends)
 
 
-def _run_ladder(p, q, layout, evaluate, active, left, right, tol, out):
+def _step_nodes(step, p, q, layout, left, right):
+    """``(t, 1-t, weight, ends)`` of one ladder step for active rows of one
+    kind: 1-D where no end is mapped or for a batch of one, else shaped
+    (rows, nodes).  ``left`` and ``right`` are ``(delta, log_span)`` of the
+    mapped ends, columns or floats, or None."""
+    return _placed(_ladder_step(step, p, q, *layout), left, right, [(slice(None), (p, q))])
+
+
+def _kind_nodes(step, pqs, kind, parts, layout, left, right):
+    """``_step_nodes`` for active rows of several kinds, shaped (rows,
+    nodes): ``kind`` holds each row's index into the ``(p, q)`` of ``pqs``,
+    and ``parts`` the rows' runs of one kind (``_batches``)."""
+    fixed, mapped, placement, ends = _stacked_step(step, pqs, *layout)
+    tables = (tuple(a.take(kind, axis=0) for a in fixed),
+              tuple(tuple(a.take(kind, axis=0) for a in end) for end in mapped), placement, ends)
+    return _placed(tables, left, right, parts)
+
+
+def _kinds(p, q, factors, n_rows):
+    """The rows' powers ``(p, q, e_1, ...)``, in runs of rows that share
+    them: ``(kind, powers)``, with ``powers`` the runs' tuples of floats, in
+    order, and ``kind`` each row's run, or None where every row has the one
+    tuple."""
+    columns = (p, q, *(e for _, _, e, _, _ in factors))
+    arrays = [c for c in columns if isinstance(c, np.ndarray)]
+    if not arrays:
+        return None, [columns]
+    first = np.empty(n_rows, dtype=bool)
+    first[0] = True
+    np.not_equal(arrays[0][1:], arrays[0][:-1], out=first[1:])
+    for c in arrays[1:]:
+        first[1:] |= c[1:] != c[:-1]
+    starts = np.flatnonzero(first)
+    powers = list(zip(*(c[starts].tolist() if isinstance(c, np.ndarray) else [c] * starts.size
+                        for c in columns)))
+    if len(powers) == 1:
+        return None, powers
+    kind = np.cumsum(first)
+    kind -= 1
+    return kind, powers
+
+
+def _runs(kind, powers, m):
+    """``(start, stop, powers)`` of the runs among m rows of the runs
+    ``kind`` (``_kinds``; None for one), in order."""
+    if kind is None:
+        return [(0, m, powers[0])]
+    runs = []
+    start = 0
+    for i, count in enumerate(np.bincount(kind, minlength=len(powers)).tolist()):
+        if count:
+            runs.append((start, start + count, powers[i]))
+            start += count
+    return runs
+
+
+def _batches(runs, width):
+    """The runs (``_runs``) cut into batches of at most ``_BATCH`` nodes,
+    rows times ``width``, and at least a row: a long run spans several, and
+    adjacent short runs, below a quarter of that, share one, as the tables
+    of a batch of several kinds are gathered per row.  ``(start, stop,
+    parts)`` each, with ``parts`` listing ``(rows, powers)`` per run in the
+    batch: a slice of the batch's rows, or of every row for a batch of one
+    run."""
+    most = max(1, _BATCH // width)
+    batches = []
+    merging = False
+    for a, b, powers in runs:
+        for lo in range(a, b, most):
+            hi = min(b, lo + most)
+            short = 4 * (hi - lo) < most
+            if short and merging and hi - batches[-1][0] <= most:
+                batches[-1][1] = hi
+                batches[-1][2].append((lo, hi, powers))
+            else:
+                batches.append([lo, hi, [(lo, hi, powers)]])
+                merging = short
+    return [(a, b, [(slice(None) if len(parts) == 1 else slice(lo - a, hi - a), powers)
+                    for lo, hi, powers in parts]) for a, b, parts in batches]
+
+
+def _run_ladder(kinds, layout, evaluate, active, left, right, tol, out):
     """Climb the ladder for the rows ``active`` (indices of the batch), which
-    share ``layout``; ``evaluate(t, 1-t, rows)`` gives the factors.  Writes
-    every row's last estimate, its error and the nodes it spent into
-    ``out``, marks the settled ones, and returns the indices of the rest:
-    those whose sum came out nan or near underflow, which leave at once, and
-    those still unsettled after the last rule."""
+    share ``layout``; ``kinds`` gives their powers (``_kinds``), and
+    ``evaluate(t, 1-t, weight, active, rows, parts)`` the weighted
+    integrand at the nodes, for the slice ``rows`` of the active rows (None
+    for all) in the runs of one kind ``parts`` (``_batches``).  Every
+    row steps on the rules of its own powers.  Writes every row's last estimate, its error
+    and the nodes it spent into ``out``, marks the settled ones, and
+    returns the indices of the rest: those whose sum came out nan or near
+    underflow, which leave at once, and those still unsettled after the
+    last rule."""
     value, err, evals, converged = out
+    kind, powers = kinds
+    pqs = tuple(k[:2] for k in powers)
     unsettled = []
     spent = 0
     previous = None
+    width = [(1 + sum(layout)) * sum(rules) for rules in _LADDER]
     for step in range(len(_LADDER)):
-        t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
-        vals = w * evaluate(t, one_minus_t, active)
+        rows_kind = None if kind is None else kind[active]
+        sums = None
+        # each rule's sum per row, batch by batch
+        for a, b, parts in _batches(_runs(rows_kind, powers, active.size), width[step]):
+            whole = b - a == active.size
+            rows = None if whole else slice(a, b)
+            near = (left, right) if whole else [end and (end[0][rows], end[1][rows])
+                                                for end in (left, right)]
+            if len(parts) == 1:
+                t, one_minus_t, w, ends = _step_nodes(step, *parts[0][1][:2], layout, *near)
+            else:
+                t, one_minus_t, w, ends = _kind_nodes(step, pqs, rows_kind[a:b], parts, layout,
+                                                      *near)
+            vals = evaluate(t, one_minus_t, w, active, rows, parts)
+            rules = list(zip((0, *ends), ends))
+            if whole:
+                sums = [np.add.reduce(vals[..., lo:hi], axis=-1) for lo, hi in rules]
+            else:
+                if sums is None:
+                    sums = np.empty((len(ends), active.size))
+                for k, (lo, hi) in enumerate(rules):
+                    sums[k, a:b] = np.add.reduce(vals[..., lo:hi], axis=-1)
         spent += t.shape[-1]
-        start = 0
-        for stop in ends:
-            new = np.add.reduce(vals[..., start:stop], axis=-1)
-            start = stop
+        for new in sums:
             if previous is None:
                 previous = new
                 continue
@@ -314,15 +442,16 @@ def _run_ladder(p, q, layout, evaluate, active, left, right, tol, out):
                 value[active], err[active], evals[active] = new, e, spent
                 return np.concatenate((*unsettled, active))
             if stopping or n_lost:
-                rows = active[done]
-                value[rows], err[rows], evals[rows] = new[done], e[done], spent
-                converged[rows] = True
+                # every active row's estimate; a row that climbs on writes
+                # its own again
+                value[active], err[active], evals[active] = new, e, spent
+                converged[active[done]] = True
                 keep = ~done
                 if n_lost:
-                    rows = active[lost]
-                    value[rows], err[rows], evals[rows] = new[lost], e[lost], spent
-                    unsettled.append(rows)
+                    unsettled.append(active[lost])
                     keep &= ~lost
+                if not keep.any():
+                    return np.concatenate(unsettled)
                 active, previous, e = active[keep], previous[keep], e[keep]
                 left = left and (left[0][keep], left[1][keep])
                 right = right and (right[0][keep], right[1][keep])
@@ -331,18 +460,40 @@ def _run_ladder(p, q, layout, evaluate, active, left, right, tol, out):
 
 
 def _product(factors, n_rows):
-    """``evaluate(t, 1-t, rows)`` for ``_run_ladder``: the product of the
-    factors ``(base + slope * u)**e`` at the nodes, for the rows ``rows``."""
-    def evaluate(t, one_minus_t, rows):
-        # no re-indexing while every row is active
-        every = rows.size == n_rows
+    """``evaluate(t, 1-t, weight, active, rows, parts)`` for
+    ``_run_ladder``: the weight times the product of the factors ``(base +
+    slope * u)**e`` at the nodes, for the slice ``rows`` of the rows
+    ``active`` (None for all), formed in place in one new array.  The
+    power is taken per run of rows of one kind (``_batches``), on a float,
+    as numpy rounds some powers (2, 0.5, -1) of a float exponent otherwise
+    than those of an array of them; a factor is 1 where ``e`` is 0, and
+    drops out where it is 0 for every row."""
+    # the active rows last seen, and the factors' columns for them: no
+    # re-indexing while every row is active
+    seen = [None, None]
+
+    def evaluate(t, one_minus_t, weight, active, rows, parts):
+        if seen[0] is not active:
+            seen[:] = active, [(base, slope) if active.size == n_rows else
+                               (base[active], slope[active]) for base, slope, *_ in factors]
         out = None
-        for base, slope, e, from_right, _ in factors:
-            if not every:
+        for j, ((base, slope), (*_, from_right, _)) in enumerate(zip(seen[1], factors), 2):
+            if not any(powers[j] for _, powers in parts):
+                continue
+            if rows is not None:
                 base, slope = base[rows], slope[rows]
-            f = np.power(base + slope * (one_minus_t if from_right else t), e)
-            out = f if out is None else out * f
-        return 1.0 if out is None else out
+            f = slope * (one_minus_t if from_right else t)
+            f += base
+            for block, powers in parts:
+                if powers[j]:
+                    np.power(f[block], powers[j], out=f[block])
+                else:
+                    f[block] = 1.0
+            if out is None:
+                out = f
+            else:
+                out *= f
+        return weight if out is None else np.multiply(out, weight, out=out)
     return evaluate
 
 
@@ -576,24 +727,29 @@ def _peak_ladder(p, q, pieces, columns, tol, rows, out, log_scale):
     log_scale[rows] = scale
 
 
-def integrate_jacobi_batch(endpoint_exponent_left: float, endpoint_exponent_right: float,
+def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
                            factors: Sequence[tuple], n_rows: int,
                            tol: float) -> BatchQuadrature:
     """Integrate ``t**p * (1-t)**q * prod_k (base_k + slope_k * u_k)**e_k``
-    over (0, 1) for ``n_rows`` integrands that share ``p``, ``q`` and the
-    exponents ``e_k``, as the module docstring describes.
+    over (0, 1) for ``n_rows`` integrands, as the module docstring
+    describes.
 
-    ``factors`` lists ``(base, slope, e, from_right, branch)``: ``u`` is
-    ``1 - t`` if ``from_right``, else ``t``; ``base`` and ``slope`` are
+    ``p``, ``q`` and each ``e_k`` are floats that every row shares, or
+    (n_rows,) arrays of one value per row; rows whose values agree are best
+    kept together, as each run of them evaluates its factors in one numpy
+    call.  ``factors`` lists ``(base, slope, e, from_right, branch)``: ``u``
+    is ``1 - t`` if ``from_right``, else ``t``; ``base`` and ``slope`` are
     (n_rows, 1) columns, or floats for a batch of one, and the factor is
     positive on (0, 1); ``branch`` is the distance from that end to the
-    factor's zero (an array or a float), or None where the factor is not
-    to be mapped (``_maps_branch``).  An end is mapped where its nearest
-    branch is closer than 0.05.  A row's result is
-    ``value * exp(log_scale)``, its error estimate the difference of its
-    last two rules times the same scale, and its evaluations count both
-    layouts.  ``tol`` must already be a finite float > 0, and the endpoint
-    exponents finite and > -1.
+    factor's zero (an array or a float, ``inf`` for none), or None where
+    the factor is not to be mapped (``_maps_branch``).  An end is mapped
+    where its nearest branch is closer than 0.05; the rows of each layout
+    of mapped ends climb one ladder together, each on the rules of its own
+    ``p`` and ``q``, so a row's result does not depend on the rows beside
+    it.  A row's result is ``value * exp(log_scale)``, its error estimate
+    the difference of its last two rules times the same scale, and its
+    evaluations count both layouts.  ``tol`` must already be a finite float
+    > 0, and the endpoint exponents finite and > -1.
     """
     p, q = endpoint_exponent_left, endpoint_exponent_right
     value = np.empty(n_rows)
@@ -601,18 +757,22 @@ def integrate_jacobi_batch(endpoint_exponent_left: float, endpoint_exponent_righ
     evals = np.empty(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
     out = (value, err, evals, converged)
+    if not n_rows:
+        return BatchQuadrature(value, err, evals, converged, None)
     branch_left, branch_right = _branches(factors)
     # rows split over the layouts of their near ends; each group runs alone
     if isinstance(branch_left, np.ndarray) or isinstance(branch_right, np.ndarray):
-        key = np.zeros(n_rows, dtype=np.int8)
+        key = np.zeros(n_rows, dtype=np.intp)
         for bit, branch in ((1, branch_left), (2, branch_right)):
             if branch is not None:
                 key += bit * (branch < _NEAR)
-        groups = ([(k, np.flatnonzero(key == k)) for k in np.unique(key).tolist()]
-                  if key.any() else [(0, None)])
+        counts = np.bincount(key, minlength=4)
+        groups = ([(k, np.flatnonzero(key == k)) for k in np.flatnonzero(counts).tolist()]
+                  if counts[0] < n_rows else [(0, None)])
     else:
         groups = [((branch_left is not None and branch_left < _NEAR)
                    + 2 * (branch_right is not None and branch_right < _NEAR), None)]
+    kinds = _kinds(p, q, factors, n_rows)
     evaluate = _product(factors, n_rows)
     rest = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -623,15 +783,30 @@ def integrate_jacobi_batch(endpoint_exponent_left: float, endpoint_exponent_righ
                 if near and rows is not None:
                     branch = branch[rows][:, None]
                 ends.append((branch, np.log1p(_CUT / branch)) if near else None)
-            rest.append(_run_ladder(p, q, layout, evaluate,
+            rest.append(_run_ladder(kinds, layout, evaluate,
                                     np.arange(n_rows) if rows is None else rows,
                                     *ends, tol, out))
     rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
     if not rest.size:
         return BatchQuadrature(value, err, evals, converged, None)
     log_scale = np.zeros(n_rows)
+    # the rest go to the peak layout grouped by their powers; a factor whose
+    # exponent is 0 there is 1 and drops out
+    kind, powers = kinds
+    groups = {}
+    if kind is None:
+        groups[powers[0]] = [rest]
+    else:
+        k = kind[rest]
+        for i in np.flatnonzero(np.bincount(k, minlength=len(powers))).tolist():
+            groups.setdefault(powers[i], []).append(rest[k == i])
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        _run_peak(p, q, factors, n_rows, rest, (branch_left, branch_right), tol, out, log_scale)
+        for (p_rows, q_rows, *exponents), rows in groups.items():
+            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
+            kept = [(base, slope, e, from_right, branch)
+                    for (base, slope, _, from_right, branch), e in zip(factors, exponents) if e]
+            _run_peak(p_rows, q_rows, kept, n_rows, rows, (branch_left, branch_right), tol, out,
+                      log_scale)
     return BatchQuadrature(value, err, evals, converged, log_scale)
 
 
@@ -661,16 +836,16 @@ def integrate_unit(p: float, q: float, smooth: Callable[[np.ndarray], np.ndarray
         if not (math.isfinite(e) and e > -1.0):
             raise DomainError(f"endpoint exponents must be finite and > -1, got {e!r}")
 
-    def evaluate(t, one_minus_t, rows):
+    def evaluate(t, one_minus_t, weight, active, rows, parts):
         vals = np.asarray(smooth(t), dtype=float)
         if np.count_nonzero(np.isfinite(vals)) != vals.size:
             raise DomainError("integrand is not finite at interior nodes; "
                               "declare endpoint singularities via the exponents")
-        return vals
+        return weight * vals
 
     out = (np.empty(1), np.empty(1), np.empty(1, dtype=np.int64), np.zeros(1, dtype=bool))
-    _run_ladder(float(p), float(q), (False, False), evaluate, np.arange(1), None, None, tol,
-                out)
+    _run_ladder((None, [(float(p), float(q))]), (False, False), evaluate, np.arange(1), None,
+                None, tol, out)
     result = QuadratureResult(value=float(out[0][0]), abs_error_estimate=float(out[1][0]),
                               evaluations=int(out[2][0]))
     if out[3][0]:

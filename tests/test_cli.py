@@ -198,7 +198,22 @@ class TestFitCommand:
                              capture_output=True, text=True, timeout=60).stdout
         assert out.strip() == "False"
 
+    def test_grid_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # numpy's unique imports numpy.ma on its first call; pdf_grid has no
+        # use for either
+        src = os.path.dirname(os.path.dirname(bibeta.__file__))
+        probe = ("import sys; from bibeta.cli import main; "
+                 "code = main(['grid', '--alpha', '2,0.3,0.4,2', '--resolution', '41', "
+                 f"'--output', {str(tmp_path / 'grid.csv')!r}]); "
+                 "print(code, 'numpy.ma' in sys.modules, 'scipy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.split() == ["0", "False", "False"]
+
     def test_fit_run_leaves_scipy_unloaded(self, tmp_path):
+        # nor numpy.random: the jitter of a restart is drawn only when one
+        # runs, and this fit needs none
         data_path = tmp_path / "data.csv"
         draws = sample_bivariate(AlphaBivariate(2, 3, 4, 5), 500, RandomStream(1))
         data_path.write_text(reference_csv(("x", "y"), draws))
@@ -206,11 +221,11 @@ class TestFitCommand:
         probe = ("import sys; from bibeta.cli import main; "
                  f"code = main(['fit', '--input', {str(data_path)!r}, "
                  f"'--output', {str(tmp_path / 'fit.json')!r}]); "
-                 "print(code, 'scipy' in sys.modules)")
+                 "print(code, 'scipy' in sys.modules, 'numpy.random' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                              capture_output=True, text=True, timeout=60).stdout
-        assert out.split() == ["0", "False"]
+        assert out.split() == ["0", "False", "False"]
 
     def test_degenerate_input_exit_4(self, capsys, tmp_path):
         data_path = tmp_path / "flat.csv"

@@ -202,8 +202,9 @@ class TestSamplersMatchTheReferenceFormula:
             np.full(4, 1e-3), size=(10 ** 5, 4))
         assert np.any(draws.sum(axis=1) == 0.0)
 
+    # 2**16 + 1 rows: a whole block of draws and one row of the next
     @pytest.mark.parametrize("weights", _BIT_WEIGHTS)
-    @pytest.mark.parametrize("n", [0, 1, 10 ** 5])
+    @pytest.mark.parametrize("n", [0, 1, 10 ** 5, 2 ** 16 + 1])
     @pytest.mark.parametrize("seed", [5, 103])
     def test_bivariate(self, weights, n, seed):
         got = sample_bivariate(AlphaBivariate(*weights), n, RandomStream(seed))
@@ -212,7 +213,7 @@ class TestSamplersMatchTheReferenceFormula:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("weights", _BIT_WEIGHTS)
-    @pytest.mark.parametrize("n", [0, 1, 10 ** 5])
+    @pytest.mark.parametrize("n", [0, 1, 10 ** 5, 2 ** 16 + 1])
     def test_trivariate(self, weights, n):
         eight = weights + weights[::-1]
         got = sample_trivariate(AlphaTrivariate(*eight), n, RandomStream(6))
@@ -231,6 +232,21 @@ class TestSamplersMatchTheReferenceFormula:
     def test_dirichlet_single_draw(self):
         got = sample_dirichlet((1e-3, 1e-3, 1e-3, 1e-3), RandomStream(8))
         assert np.array_equal(got, _reference_shares((1e-3,) * 4, 1, 8)[0])
+
+
+def test_samplers_hold_a_block_of_draws_at_once():
+    # 10**6 pairs are 15.3 MB and triples 22.9 MB of output; all the gamma
+    # draws at once would add 30.5 and 61 MB
+    import tracemalloc
+    for sample, alpha, bound in ((sample_bivariate, AlphaBivariate(2, 3, 4, 5), 24.0),
+                                 (sample_trivariate, AlphaTrivariate(*range(1, 9)), 40.0)):
+        tracemalloc.start()
+        try:
+            sample(alpha, 10 ** 6, RandomStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2 ** 20
 
 
 class TestSampleCounts:

@@ -218,6 +218,49 @@ class TestIntegrateJacobiBatch:
             assert one.evaluations[0] == batch.evaluations[i]
         assert len(set(batch.evaluations.tolist())) > 3
 
+    # (p, q, e_left, e_right) and rows of (base, slope, branch) per factor:
+    # (delta + t)**e_left and (r + 1 - t)**e_right with neither end near,
+    # the left, the right or both near, and (1 + c t)**300 (1 + c (1-t))**300,
+    # whose row at c = 9 goes on to the peak layout
+    POWERS = [(0.5, -0.3, -0.4, 0.3), (-0.2, 0.6, -0.4, 0.3), (0.0, 0.0, 300.0, 300.0)]
+    NEAR = [(d, 1.0, d, r, 1.0, r) for d, r in [(0.3, 0.7), (1e-5, 0.7), (0.3, 1e-7),
+                                                (1e-9, 1e-3)]]
+    PEAK = [(1.0, c, math.inf, 1.0, c, math.inf) for c in (0.0, 1.0, 9.0)]
+
+    @staticmethod
+    def _batch(powers, rows):
+        """One kernel call: per-row powers, or floats where every row shares
+        them."""
+        p, q, e_left, e_right = (np.array(c) if isinstance(c, tuple) else c
+                                 for c in powers)
+        bl, sl, dl, br, sr, dr = (np.array(c) for c in zip(*rows))
+        factors = [(bl[:, None], sl[:, None], e_left, False, dl),
+                   (br[:, None], sr[:, None], e_right, True, dr)]
+        return integrate_jacobi_batch(p, q, factors, len(rows), 1e-10)
+
+    @pytest.mark.parametrize("order", ["by_powers", "interleaved"])
+    def test_per_row_powers_match_a_call_per_pair(self, order):
+        # every row climbs its own ladder on the rules of its own powers, in
+        # the one call, as in a call of its powers alone: the same bits
+        groups = [(powers, self.PEAK if powers[2] == 300.0 else self.NEAR)
+                  for powers in self.POWERS]
+        rows = [(powers, row) for powers, group in groups for row in group]
+        if order == "interleaved":
+            rows = rows[::2] + rows[1::2]
+        batch = self._batch(tuple(zip(*(powers for powers, _ in rows))),
+                            [row for _, row in rows])
+        assert batch.log_scale is not None
+        for powers, _ in groups:
+            at = [i for i, (pw, _) in enumerate(rows) if pw == powers]
+            alone = self._batch(powers, [rows[i][1] for i in at])
+            for name in ("value", "abs_error_estimate", "evaluations", "converged"):
+                assert np.array_equal(getattr(batch, name)[at], getattr(alone, name))
+            scale = np.zeros(len(at)) if alone.log_scale is None else alone.log_scale
+            assert np.array_equal(batch.log_scale[at], scale)
+        # mapped ends and the peak layout both ran
+        assert batch.converged.all() and batch.log_scale.max() > 700.0
+        assert len(set(batch.evaluations.tolist())) > 5
+
     @pytest.mark.parametrize("delta", [1e-14, 1e-9, 1e-4, 0.04])
     def test_a_near_branch_point_is_mapped_away(self, delta):
         # integral of (delta + t)**-0.5 and of (delta + 1 - t)**-0.5 over
@@ -267,9 +310,10 @@ class TestIntegrateJacobiBatch:
         from bibeta.special import _run_ladder
         rates = np.array([1e4, 2e4, 3e4])
         out = (np.empty(3), np.empty(3), np.empty(3, dtype=np.int64), np.zeros(3, dtype=bool))
-        rest = _run_ladder(0.0, 0.0, (False, False), lambda t, one_minus_t, rows:
-                           np.cos(rates[rows][:, None] * t), np.arange(3), None, None, 1e-10,
-                           out)
+        rest = _run_ladder((None, [(0.0, 0.0)]), (False, False),
+                           lambda t, one_minus_t, w, active, rows, parts:
+                           w * np.cos(rates[active][:, None] * t), np.arange(3), None, None,
+                           1e-10, out)
         assert rest.tolist() == [0, 1, 2]
         assert not out[3].any()
         assert np.all(np.isfinite(out[0]))
