@@ -54,6 +54,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -126,6 +127,8 @@ _CUT = 0.125
 _SMOOTH = 5.0
 # steps of the peak search's Newton iteration, at most
 _STEPS = 40
+# nodes a step of the ladder spends on a row, without a mapped end
+_WIDTH = tuple(sum(rules) for rules in _LADDER)
 # nodes that one step evaluates at once, at most: 128 KB a table.  Larger
 # temporaries are slower to come by, as the allocator hands them back to
 # the system when freed (a 1600-row step took 1.2 times as long on
@@ -262,6 +265,13 @@ def _map_end(w, w_weight, delta, log_span, parts, near):
     s = delta * np.expm1(w * log_span)
     one_minus_s = 1.0 - s
     weight = w_weight * log_span * (delta + s)
+    if len(parts) == 1:
+        e_near, e_far = parts[0][1][near], parts[0][1][1 - near]
+        if e_near:
+            weight = weight * s ** e_near
+        if e_far:
+            weight = weight * one_minus_s ** e_far
+        return s, one_minus_s, weight
     for rows, powers in parts:
         e_near, e_far = powers[near], powers[1 - near]
         if e_near:
@@ -300,7 +310,10 @@ def _step_nodes(step, p, q, layout, left, right):
     kind: 1-D where no end is mapped or for a batch of one, else shaped
     (rows, nodes).  ``left`` and ``right`` are ``(delta, log_span)`` of the
     mapped ends, columns or floats, or None."""
-    return _placed(_ladder_step(step, p, q, *layout), left, right, [(slice(None), (p, q))])
+    tables = _ladder_step(step, p, q, *layout)
+    if not tables[1]:
+        return (*tables[0], tables[3])
+    return _placed(tables, left, right, [(slice(None), (p, q))])
 
 
 def _kind_nodes(step, pqs, kind, parts, layout, left, right):
@@ -318,10 +331,10 @@ def _kinds(p, q, factors, n_rows):
     them: ``(kind, powers)``, with ``powers`` the runs' tuples of floats, in
     order, and ``kind`` each row's run, or None where every row has the one
     tuple."""
-    columns = (p, q, *(e for _, _, e, _, _ in factors))
-    arrays = [c for c in columns if isinstance(c, np.ndarray)]
-    if not arrays:
+    columns = (p, q, *map(operator.itemgetter(2), factors))
+    if np.ndarray not in map(type, columns):
         return None, [columns]
+    arrays = [c for c in columns if isinstance(c, np.ndarray)]
     first = np.empty(n_rows, dtype=bool)
     first[0] = True
     np.not_equal(arrays[0][1:], arrays[0][:-1], out=first[1:])
@@ -376,48 +389,64 @@ def _batches(runs, width):
                     for lo, hi, powers in parts]) for a, b, parts in batches]
 
 
+def _batch_sums(step, width, kinds, layout, evaluate, active, left, right):
+    """Each rule's sum per active row at one step of the ladder, as a (rules,
+    rows) array, evaluated batch by batch (``_batches``)."""
+    kind, powers = kinds
+    rows_kind = None if kind is None else kind[active]
+    sums = None
+    for a, b, parts in _batches(_runs(rows_kind, powers, active.size), width):
+        rows = slice(a, b)
+        near = [end and (end[0][rows], end[1][rows]) for end in (left, right)]
+        if len(parts) == 1:
+            t, one_minus_t, w, ends = _step_nodes(step, *parts[0][1][:2], layout, *near)
+        else:
+            t, one_minus_t, w, ends = _kind_nodes(step, tuple(k[:2] for k in powers),
+                                                  rows_kind[rows], parts, layout, *near)
+        vals = evaluate(t, one_minus_t, w, active, rows, parts)
+        if sums is None:
+            sums = np.empty((len(ends), active.size))
+        start = 0
+        for k, stop in enumerate(ends):
+            sums[k, rows] = np.add.reduce(vals[..., start:stop], axis=-1)
+            start = stop
+    return sums
+
+
 def _run_ladder(kinds, layout, evaluate, active, left, right, tol, out):
     """Climb the ladder for the rows ``active`` (indices of the batch), which
     share ``layout``; ``kinds`` gives their powers (``_kinds``), and
     ``evaluate(t, 1-t, weight, active, rows, parts)`` the weighted
     integrand at the nodes, for the slice ``rows`` of the active rows (None
-    for all) in the runs of one kind ``parts`` (``_batches``).  Every
-    row steps on the rules of its own powers.  Writes every row's last estimate, its error
-    and the nodes it spent into ``out``, marks the settled ones, and
-    returns the indices of the rest: those whose sum came out nan or near
-    underflow, which leave at once, and those still unsettled after the
-    last rule."""
+    for all) in the runs of one kind ``parts`` (``_batches``).  Every row
+    steps on the rules of its own powers: rows of one kind, few enough,
+    in one evaluation, else batch by batch.  Writes every row's last
+    estimate, its error and the nodes it spent into ``out``, marks the
+    settled ones, and returns the indices of the rest: those whose sum came
+    out nan or near underflow, which leave at once, and those still
+    unsettled after the last rule."""
     value, err, evals, converged = out
     kind, powers = kinds
-    pqs = tuple(k[:2] for k in powers)
+    if kind is None:
+        one_kind = [(slice(None), powers[0])]
+        p, q = powers[0][:2]
+    sides = 1 + layout[0] + layout[1]
     unsettled = []
     spent = 0
     previous = None
-    width = [(1 + sum(layout)) * sum(rules) for rules in _LADDER]
     for step in range(len(_LADDER)):
-        rows_kind = None if kind is None else kind[active]
-        sums = None
-        # each rule's sum per row, batch by batch
-        for a, b, parts in _batches(_runs(rows_kind, powers, active.size), width[step]):
-            whole = b - a == active.size
-            rows = None if whole else slice(a, b)
-            near = (left, right) if whole else [end and (end[0][rows], end[1][rows])
-                                                for end in (left, right)]
-            if len(parts) == 1:
-                t, one_minus_t, w, ends = _step_nodes(step, *parts[0][1][:2], layout, *near)
-            else:
-                t, one_minus_t, w, ends = _kind_nodes(step, pqs, rows_kind[a:b], parts, layout,
-                                                      *near)
-            vals = evaluate(t, one_minus_t, w, active, rows, parts)
-            rules = list(zip((0, *ends), ends))
-            if whole:
-                sums = [np.add.reduce(vals[..., lo:hi], axis=-1) for lo, hi in rules]
-            else:
-                if sums is None:
-                    sums = np.empty((len(ends), active.size))
-                for k, (lo, hi) in enumerate(rules):
-                    sums[k, a:b] = np.add.reduce(vals[..., lo:hi], axis=-1)
-        spent += t.shape[-1]
+        width = sides * _WIDTH[step]
+        spent += width
+        if kind is None and active.size * width <= _BATCH:
+            t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
+            vals = evaluate(t, one_minus_t, w, active, None, one_kind)
+            sums = []
+            start = 0
+            for stop in ends:
+                sums.append(np.add.reduce(vals[..., start:stop], axis=-1))
+                start = stop
+        else:
+            sums = _batch_sums(step, width, kinds, layout, evaluate, active, left, right)
         for new in sums:
             if previous is None:
                 previous = new
@@ -463,38 +492,52 @@ def _product(factors, n_rows):
     """``evaluate(t, 1-t, weight, active, rows, parts)`` for
     ``_run_ladder``: the weight times the product of the factors ``(base +
     slope * u)**e`` at the nodes, for the slice ``rows`` of the rows
-    ``active`` (None for all), formed in place in one new array.  The
-    power is taken per run of rows of one kind (``_batches``), on a float,
-    as numpy rounds some powers (2, 0.5, -1) of a float exponent otherwise
-    than those of an array of them; a factor is 1 where ``e`` is 0, and
-    drops out where it is 0 for every row."""
-    # the active rows last seen, and the factors' columns for them: no
-    # re-indexing while every row is active
+    ``active`` (None for all).  The power is taken per run of rows of one
+    kind (``_batches``), on a float, as numpy rounds some powers (2, 0.5,
+    -1) of a float exponent otherwise than those of an array of them; a
+    factor is 1 where ``e`` is 0, and drops out where it is 0 for every
+    row."""
+    # the active rows last seen, and the factors for them: no re-indexing
+    # while every row is active
     seen = [None, None]
 
     def evaluate(t, one_minus_t, weight, active, rows, parts):
-        if seen[0] is not active:
-            seen[:] = active, [(base, slope) if active.size == n_rows else
-                               (base[active], slope[active]) for base, slope, *_ in factors]
+        columns = factors
+        if active.size != n_rows:
+            if seen[0] is not active:
+                seen[:] = active, [(f[0][active], f[1][active], *f[2:]) for f in factors]
+            columns = seen[1]
+        if len(parts) > 1:
+            return weight * _by_parts(columns, t, one_minus_t, rows, parts)
         out = None
-        for j, ((base, slope), (*_, from_right, _)) in enumerate(zip(seen[1], factors), 2):
-            if not any(powers[j] for _, powers in parts):
+        for (base, slope, _, from_right, _), e in zip(columns, parts[0][1][2:]):
+            if not e:
                 continue
             if rows is not None:
                 base, slope = base[rows], slope[rows]
-            f = slope * (one_minus_t if from_right else t)
-            f += base
-            for block, powers in parts:
-                if powers[j]:
-                    np.power(f[block], powers[j], out=f[block])
-                else:
-                    f[block] = 1.0
-            if out is None:
-                out = f
-            else:
-                out *= f
-        return weight if out is None else np.multiply(out, weight, out=out)
+            f = np.power(base + slope * (one_minus_t if from_right else t), e)
+            out = f if out is None else out * f
+        return weight if out is None else weight * out
     return evaluate
+
+
+def _by_parts(columns, t, one_minus_t, rows, parts):
+    """The product of the factors for the slice ``rows`` of the rows that
+    ``columns`` hold, runs of several kinds (``_product``)."""
+    out = None
+    for j, (base, slope, _, from_right, _) in enumerate(columns, 2):
+        blocks = [(block, powers[j]) for block, powers in parts]
+        if not any(e for _, e in blocks):
+            continue
+        f = slope[rows] * (one_minus_t if from_right else t)
+        f += base[rows]
+        for block, e in blocks:
+            if e:
+                np.power(f[block], e, out=f[block])
+            else:
+                f[block] = 1.0
+        out = f if out is None else out * f
+    return 1.0 if out is None else out
 
 
 def _maps_branch(e: float, e_end: float) -> bool:
