@@ -21,10 +21,12 @@ rule, which resolves it sooner than the map would.  A row whose sum leaves
 the float range, or that 128 points do not settle, the kernel integrates in
 logs on a layout centred on the integrand's peak; the prefactor is summed
 in logs too, so a density below the float range reads 0.0 and one above it
-reads ``inf``.  ``pdf_points`` batches it over arrays of points in kernel
-calls of up to ``_CHUNK`` = 2048 points of one sign pattern, and
-``pdf_grid`` is ``pdf_points`` on a lattice; a batch of one takes the same
-steps on numpy scalars, so all three agree bit for bit.
+reads ``inf``.  ``pdf_points`` batches it over arrays of points, sorted
+by sign pattern, in one kernel call per ``_CHUNK`` = 2048 points, whatever
+their patterns: the kernel takes each point's endpoint powers, and a point
+on a divergent line reads ``inf`` without reaching it.  ``pdf_grid`` is
+``pdf_points`` on a lattice; a batch of one takes the same steps on numpy
+scalars, so all three agree bit for bit.
 ``pdf_closed_form`` keeps the paper's hypergeometric expression (Appell F1
 off the diagonals, Gauss 2F1 on them) as a reference.  The unit square
 splits into four open triangles, cut by x = y and x + y = 1, and the closed
@@ -259,10 +261,11 @@ def _density_batch(alpha: AlphaBivariate, pattern, x, y, d, tol: float):
     share-range integral, rescaled to (0, 1), from ``integrate_jacobi_batch``,
     times its prefactor.
 
-    ``x``, ``y`` and ``d`` are 1-D arrays and ``pattern`` their pattern codes
-    (``_Columns``), all integrated in one kernel call, or floats for a batch
-    of one and ``pattern`` its sign pattern (sign(d), sign(x - y)), which then
-    steps through the kernel on scalars.  Every factor that vanishes at an
+    ``x``, ``y`` and ``d`` are 1-D arrays of points off the divergent lines
+    and ``pattern`` their pattern ranks (``_Columns``), all integrated in one
+    kernel call, or floats for a batch of one and ``pattern`` its sign
+    pattern (sign(d), sign(x - y)), which then steps through the kernel on
+    scalars.  Every factor that vanishes at an
     endpoint moves into the endpoint exponents, which the pattern fixes; the
     rest stays in the smooth part, and the kernel gets the distance of each
     remaining factor's branch point from its end of (0, 1): |d|/scale for
@@ -275,10 +278,9 @@ def _density_batch(alpha: AlphaBivariate, pattern, x, y, d, tol: float):
     logarithm is summed from (the log-gammas of ln B(alpha) among them) and
     the exponents of the integrand's factors.  Returns per-point ``(value,
     error_estimate, converged, evaluations)`` arrays and whether the
-    integral diverges, per point or, for a batch of one, as a bool; a point
-    on a divergent line reads ``(inf, 0, True, 0)`` without reaching the
-    kernel.  A convergent integral whose density overflows also reads
-    ``inf``.
+    integral diverges; a batch of one on a divergent line reads ``(inf, 0,
+    True, 0)`` without reaching the kernel.  A convergent integral whose
+    density overflows also reads ``inf``.
     """
     if isinstance(x, np.ndarray):
         return _density_rows(alpha, pattern, x, y, d, tol)
@@ -486,9 +488,10 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
     """``pdf`` at many points at once: arrays of value, error estimate,
     ``diverged`` and evaluations, shaped like ``x`` and ``y`` broadcast.
 
-    Points are grouped by their sign pattern of (x + y - 1, x - y), which
-    fixes the integrand's endpoint exponents, and each group runs through
-    ``pdf``'s integrand in batched kernel calls of up to 2048 points.
+    Points are sorted by their sign pattern of (x + y - 1, x - y), which
+    fixes the integrand's endpoint exponents, and run through ``pdf``'s
+    integrand in one kernel call per 2048 points, each point on the rules of
+    its own pattern, so each pattern's points share the kernel's steps.
     Points on the cut lines and the center follow ``pdf``'s rules.
     ``DomainError`` if any point lies off the open square, for coordinates
     that numpy does not read as an integer or float array (strings, bools,

@@ -27,7 +27,11 @@ with the other powers folded into its cached weights; only the mapped
 pieces, which depend on ``delta``, are formed per call.  Where the factors
 give every row the same values, as in a batch of one, the sums, the
 estimates and the stopping test are numpy scalars, not arrays of one
-element.
+element.  The powers p, q and e_k may differ from row to row: the rows of
+a layout of near ends then climb one ladder together, each on the rules of
+its own powers, evaluated in batches of at most 2**14 nodes; a batch takes
+its rows' tables per row where its rows are of several kinds, and raises
+each run of rows of one kind to its power as a float.
 
 A row whose sum is nan or near underflow leaves the ladder at once, and one
 still unsettled at 128 points, an overflowing one among them, after it.
@@ -515,9 +519,18 @@ def _product(factors, n_rows):
                 continue
             if rows is not None:
                 base, slope = base[rows], slope[rows]
-            f = np.power(base + slope * (one_minus_t if from_right else t), e)
-            out = f if out is None else out * f
-        return weight if out is None else weight * out
+            # in place, in one new array
+            f = slope * (one_minus_t if from_right else t)
+            f += base
+            np.power(f, e, out=f)
+            if out is None:
+                out = f
+            else:
+                out *= f
+        if out is None:
+            return weight
+        out *= weight
+        return out
     return evaluate
 
 
