@@ -133,11 +133,11 @@ _SMOOTH = 5.0
 _STEPS = 40
 # nodes a step of the ladder spends on a row, without a mapped end
 _WIDTH = tuple(sum(rules) for rules in _LADDER)
-# nodes that one step evaluates at once, at most: 128 KB a table.  Larger
-# temporaries are slower to come by, as the allocator hands them back to
-# the system when freed (a 1600-row step took 1.2 times as long on
-# x86_64 with glibc)
-_BATCH = 1 << 14
+# nodes that one step evaluates at once, at most: 64 KB a table.  Larger
+# temporaries can cost page faults, as the allocator hands their memory back
+# to the system when freed and maps it again for the next batch (about 90
+# minor faults a 1600-point grid at 128 KB, under glibc on x86_64)
+_BATCH = 1 << 13
 # where the peak search looks at the slope of an end
 _END = 1e-9
 # a ladder sum below _UNDERFLOW / tol may have lost the digits of its terms
@@ -349,9 +349,7 @@ def _kinds(p, q, factors, n_rows):
                         for c in columns)))
     if len(powers) == 1:
         return None, powers
-    kind = np.cumsum(first)
-    kind -= 1
-    return kind, powers
+    return np.repeat(np.arange(starts.size), np.diff(starts, append=n_rows)), powers
 
 
 def _runs(kind, powers, m):
@@ -792,8 +790,8 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
 
     ``p``, ``q`` and each ``e_k`` are floats that every row shares, or
     (n_rows,) arrays of one value per row; rows whose values agree are best
-    kept together, as each run of them evaluates its factors in one numpy
-    call.  ``factors`` lists ``(base, slope, e, from_right, branch)``: ``u``
+    kept together, as a run of them shares its tables and its numpy calls.
+    ``factors`` lists ``(base, slope, e, from_right, branch)``: ``u``
     is ``1 - t`` if ``from_right``, else ``t``; ``base`` and ``slope`` are
     (n_rows, 1) columns, or floats for a batch of one, and the factor is
     positive on (0, 1); ``branch`` is the distance from that end to the
