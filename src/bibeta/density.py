@@ -265,13 +265,12 @@ def _density_batch(alpha: AlphaBivariate, pattern, x, y, d, tol: float):
     and ``pattern`` their pattern ranks (``_Columns``), all integrated in one
     kernel call, or floats for a batch of one and ``pattern`` its sign
     pattern (sign(d), sign(x - y)), which then steps through the kernel on
-    scalars.  Every factor that vanishes at an
-    endpoint moves into the endpoint exponents, which the pattern fixes; the
-    rest stays in the smooth part, and the kernel gets the distance of each
-    remaining factor's branch point from its end of (0, 1): |d|/scale for
-    the share factor at t = 0, |x - y|/scale for the gap factor at t = 1.
-    The exponents and ln B(alpha) are formed once per weight set
-    (``_integrands``).
+    scalars.  Every factor that vanishes at an endpoint moves into the
+    endpoint exponents, which the pattern fixes; the rest stays in the
+    smooth part, and the kernel gets the distance of each remaining factor's
+    branch point from its end of (0, 1): |d|/scale for the share factor at
+    t = 0, |x - y|/scale for the gap factor at t = 1.  The exponents and
+    ln B(alpha) are formed once per weight set (``_integrands``).
 
     The error estimate is the kernel's, carried through the prefactor, plus
     a bound on the rounding: ``4 eps`` times the magnitudes the density's

@@ -29,7 +29,7 @@ give every row the same values, as in a batch of one, the sums, the
 estimates and the stopping test are numpy scalars, not arrays of one
 element.  The powers p, q and e_k may differ from row to row: the rows of
 a layout of near ends then climb one ladder together, each on the rules of
-its own powers, evaluated in batches of at most 2**14 nodes; a batch takes
+its own powers, evaluated in batches of at most 2**13 nodes; a batch takes
 its rows' tables per row where its rows are of several kinds, and raises
 each run of rows of one kind to its power as a float.
 
@@ -510,21 +510,22 @@ def _product(factors, n_rows):
                 seen[:] = active, [(f[0][active], f[1][active], *f[2:]) for f in factors]
             columns = seen[1]
         if len(parts) > 1:
-            return weight * _by_parts(columns, t, one_minus_t, rows, parts)
-        out = None
-        for (base, slope, _, from_right, _), e in zip(columns, parts[0][1][2:]):
-            if not e:
-                continue
-            if rows is not None:
-                base, slope = base[rows], slope[rows]
-            # in place, in one new array
-            f = slope * (one_minus_t if from_right else t)
-            f += base
-            np.power(f, e, out=f)
-            if out is None:
-                out = f
-            else:
-                out *= f
+            out = _by_parts(columns, t, one_minus_t, rows, parts)
+        else:
+            out = None
+            for (base, slope, _, from_right, _), e in zip(columns, parts[0][1][2:]):
+                if not e:
+                    continue
+                if rows is not None:
+                    base, slope = base[rows], slope[rows]
+                # in place, in one new array
+                f = slope * (one_minus_t if from_right else t)
+                f += base
+                np.power(f, e, out=f)
+                if out is None:
+                    out = f
+                else:
+                    out *= f
         if out is None:
             return weight
         out *= weight
@@ -534,7 +535,8 @@ def _product(factors, n_rows):
 
 def _by_parts(columns, t, one_minus_t, rows, parts):
     """The product of the factors for the slice ``rows`` of the rows that
-    ``columns`` hold, runs of several kinds (``_product``)."""
+    ``columns`` hold, runs of several kinds (``_product``), or None where
+    every exponent is 0."""
     out = None
     for j, (base, slope, _, from_right, _) in enumerate(columns, 2):
         blocks = [(block, powers[j]) for block, powers in parts]
@@ -547,8 +549,11 @@ def _by_parts(columns, t, one_minus_t, rows, parts):
                 np.power(f[block], e, out=f[block])
             else:
                 f[block] = 1.0
-        out = f if out is None else out * f
-    return 1.0 if out is None else out
+        if out is None:
+            out = f
+        else:
+            out *= f
+    return out
 
 
 def _maps_branch(e: float, e_end: float) -> bool:
