@@ -138,6 +138,9 @@ _WIDTH = tuple(sum(rules) for rules in _LADDER)
 # to the system when freed and maps it again for the next batch (about 90
 # minor faults a 1600-point grid at 128 KB, under glibc on x86_64)
 _BATCH = 1 << 13
+# rows of one kind that fit a batch at every step of any layout: they climb
+# in one evaluation a step
+_ONE_GO = _BATCH // (3 * _WIDTH[-1])
 # where the peak search looks at the slope of an end
 _END = 1e-9
 # a ladder sum below _UNDERFLOW / tol may have lost the digits of its terms
@@ -391,64 +394,72 @@ def _batches(runs, width):
                     for lo, hi, powers in parts]) for a, b, parts in batches]
 
 
-def _batch_sums(step, width, kinds, layout, evaluate, active, left, right):
-    """Each rule's sum per active row at one step of the ladder, as a (rules,
-    rows) array, evaluated batch by batch (``_batches``)."""
-    kind, powers = kinds
-    rows_kind = None if kind is None else kind[active]
-    sums = None
-    for a, b, parts in _batches(_runs(rows_kind, powers, active.size), width):
-        rows = slice(a, b)
-        near = [end and (end[0][rows], end[1][rows]) for end in (left, right)]
-        if len(parts) == 1:
-            t, one_minus_t, w, ends = _step_nodes(step, *parts[0][1][:2], layout, *near)
-        else:
-            t, one_minus_t, w, ends = _kind_nodes(step, tuple(k[:2] for k in powers),
-                                                  rows_kind[rows], parts, layout, *near)
-        vals = evaluate(t, one_minus_t, w, active, rows, parts)
-        if sums is None:
-            sums = np.empty((len(ends), active.size))
+def _one_kind(p, q, layout, evaluate):
+    """``step_sums`` for ``_run_ladder``, for rows of one kind few enough to
+    evaluate at once: each rule's sum per active row on the rules of ``p``
+    and ``q``, with ``evaluate(t, 1-t, rows)`` the factors, and the nodes a
+    row spent."""
+    def step_sums(step, active, left, right):
+        t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
+        vals = w * evaluate(t, one_minus_t, active)
+        sums = []
         start = 0
-        for k, stop in enumerate(ends):
-            sums[k, rows] = np.add.reduce(vals[..., start:stop], axis=-1)
+        for stop in ends:
+            sums.append(np.add.reduce(vals[..., start:stop], axis=-1))
             start = stop
-    return sums
+        return sums, t.shape[-1]
+    return step_sums
 
 
-def _run_ladder(kinds, layout, evaluate, active, left, right, tol, out):
-    """Climb the ladder for the rows ``active`` (indices of the batch), which
-    share ``layout``; ``kinds`` gives their powers (``_kinds``), and
-    ``evaluate(t, 1-t, weight, active, rows, parts)`` the weighted
-    integrand at the nodes, for the slice ``rows`` of the active rows (None
-    for all) in the runs of one kind ``parts`` (``_batches``).  Every row
-    steps on the rules of its own powers: rows of one kind, few enough,
-    in one evaluation, else batch by batch.  Writes every row's last
-    estimate, its error and the nodes it spent into ``out``, marks the
-    settled ones, and returns the indices of the rest: those whose sum came
-    out nan or near underflow, which leave at once, and those still
-    unsettled after the last rule."""
-    value, err, evals, converged = out
+def _by_batches(kinds, layout, evaluate):
+    """``step_sums`` for ``_run_ladder``, for rows of several kinds (``_kinds``)
+    or too many to evaluate at once: each rule's sum per active row as a
+    (rules, rows) array, batch by batch (``_batches``), with ``evaluate(t,
+    1-t, weight, active, rows, parts)`` the weighted factors of a batch, and
+    the nodes a row spent."""
     kind, powers = kinds
-    if kind is None:
-        one_kind = [(slice(None), powers[0])]
-        p, q = powers[0][:2]
+    pqs = tuple(k[:2] for k in powers)
     sides = 1 + layout[0] + layout[1]
+
+    def step_sums(step, active, left, right):
+        width = sides * _WIDTH[step]
+        rows_kind = None if kind is None else kind[active]
+        sums = None
+        for a, b, parts in _batches(_runs(rows_kind, powers, active.size), width):
+            rows = slice(a, b)
+            near = [end and (end[0][rows], end[1][rows]) for end in (left, right)]
+            if len(parts) == 1:
+                t, one_minus_t, w, ends = _step_nodes(step, *parts[0][1][:2], layout, *near)
+            else:
+                t, one_minus_t, w, ends = _kind_nodes(step, pqs, rows_kind[rows], parts, layout,
+                                                      *near)
+            vals = evaluate(t, one_minus_t, w, active, rows, parts)
+            if sums is None:
+                sums = np.empty((len(ends), active.size))
+            start = 0
+            for k, stop in enumerate(ends):
+                sums[k, rows] = np.add.reduce(vals[..., start:stop], axis=-1)
+                start = stop
+        return sums, width
+    return step_sums
+
+
+def _run_ladder(step_sums, active, left, right, tol, out):
+    """Climb the ladder for the rows ``active`` (indices of the batch), which
+    share a layout of near ends; ``step_sums(step, active, left, right)``
+    gives each rule's sum per active row at a step, every row on the rules
+    of its own powers, and the nodes a row spent (``_one_kind``,
+    ``_by_batches``).  Writes every row's last estimate, its error and the
+    nodes it spent into ``out``, marks the settled ones, and returns the
+    indices of the rest: those whose sum came out nan or near underflow,
+    which leave at once, and those still unsettled after the last rule."""
+    value, err, evals, converged = out
     unsettled = []
     spent = 0
     previous = None
     for step in range(len(_LADDER)):
-        width = sides * _WIDTH[step]
+        sums, width = step_sums(step, active, left, right)
         spent += width
-        if kind is None and active.size * width <= _BATCH:
-            t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
-            vals = evaluate(t, one_minus_t, w, active, None, one_kind)
-            sums = []
-            start = 0
-            for stop in ends:
-                sums.append(np.add.reduce(vals[..., start:stop], axis=-1))
-                start = stop
-        else:
-            sums = _batch_sums(step, width, kinds, layout, evaluate, active, left, right)
         for new in sums:
             if previous is None:
                 previous = new
@@ -490,15 +501,31 @@ def _run_ladder(kinds, layout, evaluate, active, left, right, tol, out):
     return np.concatenate((*unsettled, active))
 
 
-def _product(factors, n_rows):
-    """``evaluate(t, 1-t, weight, active, rows, parts)`` for
-    ``_run_ladder``: the weight times the product of the factors ``(base +
-    slope * u)**e`` at the nodes, for the slice ``rows`` of the rows
-    ``active`` (None for all).  The power is taken per run of rows of one
-    kind (``_batches``), on a float, as numpy rounds some powers (2, 0.5,
-    -1) of a float exponent otherwise than those of an array of them; a
-    factor is 1 where ``e`` is 0, and drops out where it is 0 for every
-    row."""
+def _product(factors, exponents, n_rows):
+    """``evaluate(t, 1-t, rows)`` for ``_one_kind``: the product of the
+    factors ``(base + slope * u)**e`` at the nodes, for the rows ``rows``,
+    with ``e`` the floats ``exponents``."""
+    def evaluate(t, one_minus_t, rows):
+        # no re-indexing while every row is active
+        every = rows.size == n_rows
+        out = None
+        for (base, slope, _, from_right, _), e in zip(factors, exponents):
+            if not every:
+                base, slope = base[rows], slope[rows]
+            f = np.power(base + slope * (one_minus_t if from_right else t), e)
+            out = f if out is None else out * f
+        return 1.0 if out is None else out
+    return evaluate
+
+
+def _parts_product(factors, n_rows):
+    """``evaluate(t, 1-t, weight, active, rows, parts)`` for ``_by_batches``:
+    the weight times the product of the factors ``(base + slope * u)**e`` at
+    the nodes, for the slice ``rows`` of the rows ``active``, formed in place
+    in one new array.  The power is taken per run of rows of one kind
+    (``_batches``), on a float, as numpy rounds some powers (2, 0.5, -1) of
+    a float exponent otherwise than those of an array of them; a factor is 1
+    where ``e`` is 0, and drops out where it is 0 for every row."""
     # the active rows last seen, and the factors for them: no re-indexing
     # while every row is active
     seen = [None, None]
@@ -516,11 +543,8 @@ def _product(factors, n_rows):
             for (base, slope, _, from_right, _), e in zip(columns, parts[0][1][2:]):
                 if not e:
                     continue
-                if rows is not None:
-                    base, slope = base[rows], slope[rows]
-                # in place, in one new array
-                f = slope * (one_minus_t if from_right else t)
-                f += base
+                f = slope[rows] * (one_minus_t if from_right else t)
+                f += base[rows]
                 np.power(f, e, out=f)
                 if out is None:
                     out = f
@@ -832,7 +856,7 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
         groups = [((branch_left is not None and branch_left < _NEAR)
                    + 2 * (branch_right is not None and branch_right < _NEAR), None)]
     kinds = _kinds(p, q, factors, n_rows)
-    evaluate = _product(factors, n_rows)
+    kind, powers = kinds
     rest = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, rows in groups:
@@ -842,8 +866,12 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
                 if near and rows is not None:
                     branch = branch[rows][:, None]
                 ends.append((branch, np.log1p(_CUT / branch)) if near else None)
-            rest.append(_run_ladder(kinds, layout, evaluate,
-                                    np.arange(n_rows) if rows is None else rows,
+            if kind is None and (n_rows if rows is None else rows.size) <= _ONE_GO:
+                step_sums = _one_kind(*powers[0][:2], layout,
+                                      _product(factors, powers[0][2:], n_rows))
+            else:
+                step_sums = _by_batches(kinds, layout, _parts_product(factors, n_rows))
+            rest.append(_run_ladder(step_sums, np.arange(n_rows) if rows is None else rows,
                                     *ends, tol, out))
     rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
     if not rest.size:
@@ -851,7 +879,6 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
     log_scale = np.zeros(n_rows)
     # the rest go to the peak layout grouped by their powers; a factor whose
     # exponent is 0 there is 1 and drops out
-    kind, powers = kinds
     groups = {}
     if kind is None:
         groups[powers[0]] = [rest]
@@ -895,15 +922,15 @@ def integrate_unit(p: float, q: float, smooth: Callable[[np.ndarray], np.ndarray
         if not (math.isfinite(e) and e > -1.0):
             raise DomainError(f"endpoint exponents must be finite and > -1, got {e!r}")
 
-    def evaluate(t, one_minus_t, weight, active, rows, parts):
+    def evaluate(t, one_minus_t, rows):
         vals = np.asarray(smooth(t), dtype=float)
         if np.count_nonzero(np.isfinite(vals)) != vals.size:
             raise DomainError("integrand is not finite at interior nodes; "
                               "declare endpoint singularities via the exponents")
-        return weight * vals
+        return vals
 
     out = (np.empty(1), np.empty(1), np.empty(1, dtype=np.int64), np.zeros(1, dtype=bool))
-    _run_ladder((None, [(float(p), float(q))]), (False, False), evaluate, np.arange(1), None,
+    _run_ladder(_one_kind(float(p), float(q), (False, False), evaluate), np.arange(1), None,
                 None, tol, out)
     result = QuadratureResult(value=float(out[0][0]), abs_error_estimate=float(out[1][0]),
                               evaluations=int(out[2][0]))
