@@ -256,40 +256,36 @@ def _integrate(p, q, factors, n, ln_scale, ln_unit, ln_beta, size, tol):
     return value, error, batch
 
 
-def _density_batch(alpha: AlphaBivariate, pattern, x, y, d, tol: float):
-    """Density at points, with d = x + y - 1 from ``_sum_minus_one``: the
-    share-range integral, rescaled to (0, 1), from ``integrate_jacobi_batch``,
-    times its prefactor.
+def _density_batch(alpha: AlphaBivariate, signs: tuple, x: float, y: float, d: float,
+                   tol: float):
+    """Density at a point with the sign pattern ``signs`` of (d, x - y), with
+    d = x + y - 1 from ``_sum_minus_one``: the share-range integral, rescaled
+    to (0, 1), from ``integrate_jacobi_batch``, times its prefactor, as a
+    batch of one that steps through the kernel on scalars.
 
-    ``x``, ``y`` and ``d`` are 1-D arrays of points off the divergent lines
-    and ``pattern`` their pattern ranks (``_Columns``), all integrated in one
-    kernel call, or floats for a batch of one and ``pattern`` its sign
-    pattern (sign(d), sign(x - y)), which then steps through the kernel on
-    scalars.  Every factor that vanishes at an endpoint moves into the
-    endpoint exponents, which the pattern fixes; the rest stays in the
-    smooth part, and the kernel gets the distance of each remaining factor's
-    branch point from its end of (0, 1): |d|/scale for the share factor at
-    t = 0, |x - y|/scale for the gap factor at t = 1.  The exponents and
-    ln B(alpha) are formed once per weight set (``_integrands``).
+    Every factor that vanishes at an endpoint moves into the endpoint
+    exponents, which the pattern fixes; the rest stays in the smooth part,
+    and the kernel gets the distance of each remaining factor's branch point
+    from its end of (0, 1): |d|/scale for the share factor at t = 0,
+    |x - y|/scale for the gap factor at t = 1.  The exponents and ln B(alpha)
+    are formed once per weight set (``_integrands``).
 
     The error estimate is the kernel's, carried through the prefactor, plus
     a bound on the rounding: ``4 eps`` times the magnitudes the density's
     logarithm is summed from (the log-gammas of ln B(alpha) among them) and
-    the exponents of the integrand's factors.  Returns per-point ``(value,
-    error_estimate, converged, evaluations)`` arrays and whether the
-    integral diverges; a batch of one on a divergent line reads ``(inf, 0,
-    True, 0)`` without reaching the kernel.  A convergent integral whose
-    density overflows also reads ``inf``.
+    the exponents of the integrand's factors.  Returns ``(value,
+    error_estimate, converged, evaluations)`` arrays of one entry and whether
+    the integral diverges; on a divergent line ``(inf, 0, True, 0)`` without
+    reaching the kernel.  A convergent integral whose density overflows also
+    reads ``inf``.
     """
-    if isinstance(x, np.ndarray):
-        return _density_rows(alpha, pattern, x, y, d, tol)
-    integrand = _integrands(alpha)[pattern]
+    integrand = _integrands(alpha)[signs]
     if integrand is None:
         return (np.full(1, math.inf), np.zeros(1), np.ones(1, dtype=bool),
                 np.zeros(1, dtype=np.int64), True)
     # the share range runs from max(0, d) up to min(x, y); max, min, abs and
     # / on floats round as numpy's do, so a batch of one keeps its bits
-    scale = 1.0 - max(x, y) if pattern[0] > 0.0 else min(x, y)
+    scale = 1.0 - max(x, y) if signs[0] > 0.0 else min(x, y)
 
     # (base, slope, exponent, from_right, branch): base + slope*t, or from
     # the top |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its
@@ -314,11 +310,13 @@ def _density_batch(alpha: AlphaBivariate, pattern, x, y, d, tol: float):
 
 
 def _density_rows(alpha: AlphaBivariate, rank, x, y, d, tol: float):
-    """``_density_batch`` on arrays of points off the divergent lines: the
-    scalar path's operations, per point, on columns against the node row,
-    with the pattern's fields looked up per point (``_columns``).  A factor
-    absent on a line has exponent 0 there, so it is 1, and a branch point
-    the kernel does not map is at ``inf``."""
+    """``_density_batch`` for 1-D arrays of points off the divergent lines,
+    with their pattern ranks (``_Columns``), in one kernel call: the scalar
+    path's operations, per point, on columns against the node row, with the
+    pattern's fields looked up per point (``_columns``).  A factor absent on
+    a line has exponent 0 there, so it is 1, and a branch point the kernel
+    does not map is at ``inf``.  Returns per-point ``(value, error_estimate,
+    converged, evaluations)``."""
     columns = _columns(alpha)
     p, q, share_exp, gap_exp, share_branch, gap_branch, size, lead = columns.fields[:, rank]
     scale = np.where(d > 0.0, 1.0 - np.maximum(x, y), np.minimum(x, y))
@@ -331,7 +329,7 @@ def _density_rows(alpha: AlphaBivariate, rank, x, y, d, tol: float):
                     np.where(gap_branch, gap / scale, math.inf))]
     value, error, batch = _integrate(p, q, factors, rank.size, lead * np.log(scale),
                                      gap_exp * np.log(unit), columns.ln_beta, size, tol)
-    return value, error, batch.converged, batch.evaluations, False
+    return value, error, batch.converged, batch.evaluations
 
 
 def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> DensityValue:
@@ -526,8 +524,7 @@ def pdf_points(alpha: AlphaBivariate, x, y, tol: float = 1e-10) -> DensityArrays
     live = x.size - np.count_nonzero(diverged)
     for start in range(0, live, _CHUNK):
         rows = order[start:min(start + _CHUNK, live)]
-        v, e, converged, n, _ = _density_batch(alpha, rank[rows], x[rows], y[rows], d[rows],
-                                               tol)
+        v, e, converged, n = _density_rows(alpha, rank[rows], x[rows], y[rows], d[rows], tol)
         if not converged.all():
             i = rows[np.argmin(converged)]
             raise ConvergenceError(f"density at ({float(x[i])!r}, {float(y[i])!r}) "
