@@ -29,9 +29,8 @@ give every row the same values, as in a batch of one, the sums, the
 estimates and the stopping test are numpy scalars, not arrays of one
 element.  The powers p, q and e_k may differ from row to row: the rows of
 a layout of near ends then climb one ladder together, each on the rules of
-its own powers, evaluated in batches of at most 2**13 nodes; a batch takes
-its rows' tables per row where its rows are of several kinds, and raises
-each run of rows of one kind to its power as a float.
+its own powers, evaluated in batches of at most 2**13 nodes, each batch
+rows of one run that share their powers, which numpy raises to as floats.
 
 A row whose sum is nan or near underflow leaves the ladder at once, and one
 still unsettled at 128 points, an overflowing one among them, after it.
@@ -138,14 +137,13 @@ _WIDTH = tuple(sum(rules) for rules in _LADDER)
 # to the system when freed and maps it again for the next batch (about 90
 # minor faults a 1600-point grid at 128 KB, under glibc on x86_64)
 _BATCH = 1 << 13
-# rows of one kind that fit a batch at every step of any layout: they climb
-# in one evaluation a step
-_ONE_GO = _BATCH // (3 * _WIDTH[-1])
 # where the peak search looks at the slope of an end
 _END = 1e-9
 # a ladder sum below _UNDERFLOW / tol may have lost the digits of its terms
 # to underflow, and does not settle
 _UNDERFLOW = 1e3 * float(np.finfo(float).tiny)
+# a factor's exponent
+_EXPONENT = operator.itemgetter(2)
 
 
 @functools.lru_cache(maxsize=512)
@@ -247,60 +245,35 @@ def _ladder_step(step: int, p: float, q: float, near_left: bool, near_right: boo
     return fixed, tuple(mapped), tuple(placement), ends
 
 
-@functools.lru_cache(maxsize=64)
-def _stacked_step(step: int, pqs: tuple, near_left: bool, near_right: bool):
-    """``_ladder_step``'s tables for each ``(p, q)`` of ``pqs``, stacked on
-    a new first axis.  The layout fixes the placement and the rules' ends,
-    whatever the powers."""
-    steps = [_ladder_step(step, p, q, near_left, near_right) for p, q in pqs]
-    fixed = tuple(np.stack(a) for a in zip(*(tables[0] for tables in steps)))
-    mapped = tuple(tuple(np.stack(a) for a in zip(*end))
-                   for end in zip(*(tables[1] for tables in steps)))
-    for a in itertools.chain(fixed, *mapped):
-        a.flags.writeable = False
-    return fixed, mapped, steps[0][2], steps[0][3]
-
-
-def _map_end(w, w_weight, delta, log_span, parts, near):
+def _map_end(w, w_weight, delta, log_span, e_near, e_far):
     """``(s, 1-s, weight)`` on the piece (0, _CUT) under ``s = delta *
     expm1(w * log_span)``, ``s`` the distance to the near end, which turns a
     factor ``(delta + s)**e`` into ``delta**e * exp(e * w * log_span)``.
     The weight is the rule's ``W / w**e_near`` times ``s**e_near *
-    (1-s)**e_far`` and the Jacobian ``log_span * (delta + s)``, with
-    ``parts`` listing ``(rows, powers)``: a slice of the rows and their
-    ``(p, q, ...)``, ``e_near`` ``powers[near]``."""
+    (1-s)**e_far`` and the Jacobian ``log_span * (delta + s)``."""
     s = delta * np.expm1(w * log_span)
     one_minus_s = 1.0 - s
     weight = w_weight * log_span * (delta + s)
-    if len(parts) == 1:
-        e_near, e_far = parts[0][1][near], parts[0][1][1 - near]
-        if e_near:
-            weight = weight * s ** e_near
-        if e_far:
-            weight = weight * one_minus_s ** e_far
-        return s, one_minus_s, weight
-    for rows, powers in parts:
-        e_near, e_far = powers[near], powers[1 - near]
-        if e_near:
-            weight[rows] *= s[rows] ** e_near
-        if e_far:
-            weight[rows] *= one_minus_s[rows] ** e_far
+    if e_near:
+        weight = weight * s ** e_near
+    if e_far:
+        weight = weight * one_minus_s ** e_far
     return s, one_minus_s, weight
 
 
-def _placed(tables, left, right, parts):
-    """``(t, 1-t, weight, ends)`` of one ladder step from its tables
-    (``_ladder_step``, or gathered per row), with the mapped ends formed for
-    the rows' ``left`` and ``right`` and their powers ``parts``
-    (``_map_end``)."""
-    fixed, mapped, placement, ends = tables
+def _step_nodes(step, p, q, layout, left, right):
+    """``(t, 1-t, weight, ends)`` of one ladder step for active rows that
+    share ``p`` and ``q``: 1-D where no end is mapped or for a batch of one,
+    else shaped (rows, nodes).  ``left`` and ``right`` are ``(delta,
+    log_span)`` of the mapped ends, columns or floats, or None."""
+    fixed, mapped, placement, ends = _ladder_step(step, p, q, *layout)
     if not mapped:
         return (*fixed, ends)
     sources = [fixed]
     if left is not None:
-        sources.append(_map_end(*mapped[0], *left, parts, 0))
+        sources.append(_map_end(*mapped[0], *left, p, q))
     if right is not None:
-        s, one_minus_s, w = _map_end(*mapped[-1], *right, parts, 1)
+        s, one_minus_s, w = _map_end(*mapped[-1], *right, q, p)
         sources.append((one_minus_s, s, w))
     shape = sources[1][0].shape[:-1] + (ends[-1],)
     out = []
@@ -312,36 +285,14 @@ def _placed(tables, left, right, parts):
     return (*out, ends)
 
 
-def _step_nodes(step, p, q, layout, left, right):
-    """``(t, 1-t, weight, ends)`` of one ladder step for active rows of one
-    kind: 1-D where no end is mapped or for a batch of one, else shaped
-    (rows, nodes).  ``left`` and ``right`` are ``(delta, log_span)`` of the
-    mapped ends, columns or floats, or None."""
-    tables = _ladder_step(step, p, q, *layout)
-    if not tables[1]:
-        return (*tables[0], tables[3])
-    return _placed(tables, left, right, [(slice(None), (p, q))])
-
-
-def _kind_nodes(step, pqs, kind, parts, layout, left, right):
-    """``_step_nodes`` for active rows of several kinds, shaped (rows,
-    nodes): ``kind`` holds each row's index into the ``(p, q)`` of ``pqs``,
-    and ``parts`` the rows' runs of one kind (``_batches``)."""
-    fixed, mapped, placement, ends = _stacked_step(step, pqs, *layout)
-    tables = (tuple(a.take(kind, axis=0) for a in fixed),
-              tuple(tuple(a.take(kind, axis=0) for a in end) for end in mapped), placement, ends)
-    return _placed(tables, left, right, parts)
-
-
-def _kinds(p, q, factors, n_rows):
-    """The rows' powers ``(p, q, e_1, ...)``, in runs of rows that share
-    them: ``(kind, powers)``, with ``powers`` the runs' tuples of floats, in
-    order, and ``kind`` each row's run, or None where every row has the one
-    tuple."""
-    columns = (p, q, *map(operator.itemgetter(2), factors))
-    if np.ndarray not in map(type, columns):
-        return None, [columns]
+def _kinds(columns, n_rows):
+    """The runs of rows that share their powers ``columns``, ``(p, q, e_1,
+    ...)``, each a float or an (n_rows,) array: ``(kind, powers)``, with
+    ``powers`` the runs' tuples of floats, in order, and ``kind`` each
+    row's run, or None where every row has the one tuple."""
     arrays = [c for c in columns if isinstance(c, np.ndarray)]
+    if not arrays:
+        return None, [columns]
     first = np.empty(n_rows, dtype=bool)
     first[0] = True
     np.not_equal(arrays[0][1:], arrays[0][:-1], out=first[1:])
@@ -369,97 +320,90 @@ def _runs(kind, powers, m):
     return runs
 
 
-def _batches(runs, width):
-    """The runs (``_runs``) cut into batches of at most ``_BATCH`` nodes,
-    rows times ``width``, and at least a row: a long run spans several, and
-    adjacent short runs, below a quarter of that, share one, as the tables
-    of a batch of several kinds are gathered per row.  ``(start, stop,
-    parts)`` each, with ``parts`` listing ``(rows, powers)`` per run in the
-    batch: a slice of the batch's rows, or of every row for a batch of one
-    run."""
-    most = max(1, _BATCH // width)
-    batches = []
-    merging = False
-    for a, b, powers in runs:
-        for lo in range(a, b, most):
-            hi = min(b, lo + most)
-            short = 4 * (hi - lo) < most
-            if short and merging and hi - batches[-1][0] <= most:
-                batches[-1][1] = hi
-                batches[-1][2].append((lo, hi, powers))
-            else:
-                batches.append([lo, hi, [(lo, hi, powers)]])
-                merging = short
-    return [(a, b, [(slice(None) if len(parts) == 1 else slice(lo - a, hi - a), powers)
-                    for lo, hi, powers in parts]) for a, b, parts in batches]
+def _by_batches(kind, powers, factors, n_rows):
+    """``evaluate`` for ``_run_ladder`` on rows whose powers are per row
+    (``_kinds``), or many: ``evaluate(step, layout, active, left, right)``
+    gives each rule's sum per active row, as a (rules, rows) array, and the
+    nodes a row spent.  A step runs in batches of rows of one kind, at most
+    ``_BATCH`` nodes (rows times the step's width) and at least a row each,
+    on the rules of the kind's powers, with ``np.power`` on a float
+    exponent, as numpy rounds some powers (2, 0.5, -1) of an array of
+    exponents otherwise; the weight times the product of the factors is
+    formed in place in one new array, and a factor whose exponent is 0 is 1
+    and drops out."""
+    # the active rows last seen, and the factors for them: no re-indexing
+    # while every row is active
+    seen = [None, None]
 
-
-def _one_kind(p, q, layout, evaluate):
-    """``step_sums`` for ``_run_ladder``, for rows of one kind few enough to
-    evaluate at once: each rule's sum per active row on the rules of ``p``
-    and ``q``, with ``evaluate(t, 1-t, rows)`` the factors, and the nodes a
-    row spent."""
-    def step_sums(step, active, left, right):
-        t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
-        vals = w * evaluate(t, one_minus_t, active)
-        sums = []
-        start = 0
-        for stop in ends:
-            sums.append(np.add.reduce(vals[..., start:stop], axis=-1))
-            start = stop
-        return sums, t.shape[-1]
-    return step_sums
-
-
-def _by_batches(kinds, layout, evaluate):
-    """``step_sums`` for ``_run_ladder``, for rows of several kinds (``_kinds``)
-    or too many to evaluate at once: each rule's sum per active row as a
-    (rules, rows) array, batch by batch (``_batches``), with ``evaluate(t,
-    1-t, weight, active, rows, parts)`` the weighted factors of a batch, and
-    the nodes a row spent."""
-    kind, powers = kinds
-    pqs = tuple(k[:2] for k in powers)
-    sides = 1 + layout[0] + layout[1]
-
-    def step_sums(step, active, left, right):
-        width = sides * _WIDTH[step]
-        rows_kind = None if kind is None else kind[active]
+    def step_sums(step, layout, active, left, right):
+        width = (1 + layout[0] + layout[1]) * _WIDTH[step]
+        most = max(1, _BATCH // width)
+        columns = factors
+        if active.size != n_rows:
+            if seen[0] is not active:
+                seen[:] = active, [(f[0][active], f[1][active], *f[2:]) for f in factors]
+            columns = seen[1]
         sums = None
-        for a, b, parts in _batches(_runs(rows_kind, powers, active.size), width):
-            rows = slice(a, b)
-            near = [end and (end[0][rows], end[1][rows]) for end in (left, right)]
-            if len(parts) == 1:
-                t, one_minus_t, w, ends = _step_nodes(step, *parts[0][1][:2], layout, *near)
-            else:
-                t, one_minus_t, w, ends = _kind_nodes(step, pqs, rows_kind[rows], parts, layout,
-                                                      *near)
-            vals = evaluate(t, one_minus_t, w, active, rows, parts)
-            if sums is None:
-                sums = np.empty((len(ends), active.size))
-            start = 0
-            for k, stop in enumerate(ends):
-                sums[k, rows] = np.add.reduce(vals[..., start:stop], axis=-1)
-                start = stop
+        for a, b, (p, q, *exponents) in _runs(None if kind is None else kind[active], powers,
+                                              active.size):
+            for lo in range(a, b, most):
+                rows = slice(lo, min(b, lo + most))
+                t, one_minus_t, w, ends = _step_nodes(
+                    step, p, q, layout, *(end and (end[0][rows], end[1][rows])
+                                          for end in (left, right)))
+                vals = None
+                for (base, slope, _, from_right, _), e in zip(columns, exponents):
+                    if not e:
+                        continue
+                    f = slope[rows] * (one_minus_t if from_right else t)
+                    f += base[rows]
+                    np.power(f, e, out=f)
+                    if vals is None:
+                        vals = f
+                    else:
+                        vals *= f
+                if vals is None:
+                    vals = w
+                else:
+                    vals *= w
+                if sums is None:
+                    sums = np.empty((len(ends), active.size))
+                start = 0
+                for k, stop in enumerate(ends):
+                    sums[k, rows] = np.add.reduce(vals[..., start:stop], axis=-1)
+                    start = stop
         return sums, width
     return step_sums
 
 
-def _run_ladder(step_sums, active, left, right, tol, out):
+def _run_ladder(p, q, layout, evaluate, active, left, right, tol, out):
     """Climb the ladder for the rows ``active`` (indices of the batch), which
-    share a layout of near ends; ``step_sums(step, active, left, right)``
-    gives each rule's sum per active row at a step, every row on the rules
-    of its own powers, and the nodes a row spent (``_one_kind``,
-    ``_by_batches``).  Writes every row's last estimate, its error and the
-    nodes it spent into ``out``, marks the settled ones, and returns the
-    indices of the rest: those whose sum came out nan or near underflow,
-    which leave at once, and those still unsettled after the last rule."""
+    share ``layout``.  For rows that share the powers ``p`` and ``q``,
+    ``evaluate(t, 1-t, rows)`` gives the factors; where ``p`` is None,
+    ``evaluate(step, layout, active, left, right)`` gives each rule's sum
+    per active row, every row on the rules of its own powers, and the nodes
+    a row spent (``_by_batches``).  Writes every row's last estimate, its
+    error and the nodes it spent into ``out``, marks the settled ones, and
+    returns the indices of the rest: those whose sum came out nan or near
+    underflow, which leave at once, and those still unsettled after the last
+    rule."""
     value, err, evals, converged = out
     unsettled = []
     spent = 0
     previous = None
     for step in range(len(_LADDER)):
-        sums, width = step_sums(step, active, left, right)
-        spent += width
+        if p is None:
+            sums, width = evaluate(step, layout, active, left, right)
+            spent += width
+        else:
+            t, one_minus_t, w, ends = _step_nodes(step, p, q, layout, left, right)
+            vals = w * evaluate(t, one_minus_t, active)
+            spent += t.shape[-1]
+            sums = []
+            start = 0
+            for stop in ends:
+                sums.append(np.add.reduce(vals[..., start:stop], axis=-1))
+                start = stop
         for new in sums:
             if previous is None:
                 previous = new
@@ -501,83 +445,16 @@ def _run_ladder(step_sums, active, left, right, tol, out):
     return np.concatenate((*unsettled, active))
 
 
-def _product(factors, exponents, n_rows):
-    """``evaluate(t, 1-t, rows)`` for ``_one_kind``: the product of the
-    factors ``(base + slope * u)**e`` at the nodes, for the rows ``rows``,
-    with ``e`` the floats ``exponents``."""
+def _product(factors):
+    """``evaluate(t, 1-t, rows)`` for ``_run_ladder`` on a batch of one: the
+    product of the factors ``(base + slope * u)**e`` at the nodes."""
     def evaluate(t, one_minus_t, rows):
-        # no re-indexing while every row is active
-        every = rows.size == n_rows
         out = None
-        for (base, slope, _, from_right, _), e in zip(factors, exponents):
-            if not every:
-                base, slope = base[rows], slope[rows]
+        for base, slope, e, from_right, _ in factors:
             f = np.power(base + slope * (one_minus_t if from_right else t), e)
             out = f if out is None else out * f
         return 1.0 if out is None else out
     return evaluate
-
-
-def _parts_product(factors, n_rows):
-    """``evaluate(t, 1-t, weight, active, rows, parts)`` for ``_by_batches``:
-    the weight times the product of the factors ``(base + slope * u)**e`` at
-    the nodes, for the slice ``rows`` of the rows ``active``, formed in place
-    in one new array.  The power is taken per run of rows of one kind
-    (``_batches``), on a float, as numpy rounds some powers (2, 0.5, -1) of
-    a float exponent otherwise than those of an array of them; a factor is 1
-    where ``e`` is 0, and drops out where it is 0 for every row."""
-    # the active rows last seen, and the factors for them: no re-indexing
-    # while every row is active
-    seen = [None, None]
-
-    def evaluate(t, one_minus_t, weight, active, rows, parts):
-        columns = factors
-        if active.size != n_rows:
-            if seen[0] is not active:
-                seen[:] = active, [(f[0][active], f[1][active], *f[2:]) for f in factors]
-            columns = seen[1]
-        if len(parts) > 1:
-            out = _by_parts(columns, t, one_minus_t, rows, parts)
-        else:
-            out = None
-            for (base, slope, _, from_right, _), e in zip(columns, parts[0][1][2:]):
-                if not e:
-                    continue
-                f = slope[rows] * (one_minus_t if from_right else t)
-                f += base[rows]
-                np.power(f, e, out=f)
-                if out is None:
-                    out = f
-                else:
-                    out *= f
-        if out is None:
-            return weight
-        out *= weight
-        return out
-    return evaluate
-
-
-def _by_parts(columns, t, one_minus_t, rows, parts):
-    """The product of the factors for the slice ``rows`` of the rows that
-    ``columns`` hold, runs of several kinds (``_product``), or None where
-    every exponent is 0."""
-    out = None
-    for j, (base, slope, _, from_right, _) in enumerate(columns, 2):
-        blocks = [(block, powers[j]) for block, powers in parts]
-        if not any(e for _, e in blocks):
-            continue
-        f = slope[rows] * (one_minus_t if from_right else t)
-        f += base[rows]
-        for block, e in blocks:
-            if e:
-                np.power(f[block], e, out=f[block])
-            else:
-                f[block] = 1.0
-        if out is None:
-            out = f
-        else:
-            out *= f
-    return out
 
 
 def _maps_branch(e: float, e_end: float) -> bool:
@@ -819,7 +696,7 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
 
     ``p``, ``q`` and each ``e_k`` are floats that every row shares, or
     (n_rows,) arrays of one value per row; rows whose values agree are best
-    kept together, as a run of them shares its tables and its numpy calls.
+    kept together, as each run of them takes its own numpy calls.
     ``factors`` lists ``(base, slope, e, from_right, branch)``: ``u``
     is ``1 - t`` if ``from_right``, else ``t``; ``base`` and ``slope`` are
     (n_rows, 1) columns, or floats for a batch of one, and the factor is
@@ -840,8 +717,6 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
     evals = np.empty(n_rows, dtype=np.int64)
     converged = np.zeros(n_rows, dtype=bool)
     out = (value, err, evals, converged)
-    if not n_rows:
-        return BatchQuadrature(value, err, evals, converged, None)
     branch_left, branch_right = _branches(factors)
     # rows split over the layouts of their near ends; each group runs alone
     if isinstance(branch_left, np.ndarray) or isinstance(branch_right, np.ndarray):
@@ -855,8 +730,16 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
     else:
         groups = [((branch_left is not None and branch_left < _NEAR)
                    + 2 * (branch_right is not None and branch_right < _NEAR), None)]
-    kinds = _kinds(p, q, factors, n_rows)
-    kind, powers = kinds
+    if n_rows == 1 and np.ndarray not in map(type, (p, q, *map(_EXPONENT, factors))):
+        # a batch of one on float powers, as a scalar pdf: its sums stay
+        # numpy scalars
+        evaluate = _product(factors)
+        per_row = None
+    else:
+        if not n_rows:
+            return BatchQuadrature(value, err, evals, converged, None)
+        per_row = _kinds((p, q, *map(_EXPONENT, factors)), n_rows)
+        evaluate = _by_batches(*per_row, factors, n_rows)
     rest = []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, rows in groups:
@@ -866,33 +749,30 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
                 if near and rows is not None:
                     branch = branch[rows][:, None]
                 ends.append((branch, np.log1p(_CUT / branch)) if near else None)
-            if kind is None and (n_rows if rows is None else rows.size) <= _ONE_GO:
-                step_sums = _one_kind(*powers[0][:2], layout,
-                                      _product(factors, powers[0][2:], n_rows))
-            else:
-                step_sums = _by_batches(kinds, layout, _parts_product(factors, n_rows))
-            rest.append(_run_ladder(step_sums, np.arange(n_rows) if rows is None else rows,
+            rest.append(_run_ladder(None if per_row else p, q, layout, evaluate,
+                                    np.arange(n_rows) if rows is None else rows,
                                     *ends, tol, out))
     rest = rest[0] if len(rest) == 1 else np.concatenate(rest)
     if not rest.size:
         return BatchQuadrature(value, err, evals, converged, None)
     log_scale = np.zeros(n_rows)
-    # the rest go to the peak layout grouped by their powers; a factor whose
-    # exponent is 0 there is 1 and drops out
-    groups = {}
-    if kind is None:
-        groups[powers[0]] = [rest]
-    else:
-        k = kind[rest]
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        if per_row is None:
+            _run_peak(p, q, factors, n_rows, rest, (branch_left, branch_right), tol, out,
+                      log_scale)
+            return BatchQuadrature(value, err, evals, converged, log_scale)
+        # the rest by their powers; a factor whose exponent is 0 there is 1
+        # and drops out
+        kind, powers = per_row
+        k = np.zeros(rest.size, dtype=np.intp) if kind is None else kind[rest]
+        groups = {}
         for i in np.flatnonzero(np.bincount(k, minlength=len(powers))).tolist():
             groups.setdefault(powers[i], []).append(rest[k == i])
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         for (p_rows, q_rows, *exponents), rows in groups.items():
-            rows = rows[0] if len(rows) == 1 else np.concatenate(rows)
             kept = [(base, slope, e, from_right, branch)
                     for (base, slope, _, from_right, branch), e in zip(factors, exponents) if e]
-            _run_peak(p_rows, q_rows, kept, n_rows, rows, (branch_left, branch_right), tol, out,
-                      log_scale)
+            _run_peak(p_rows, q_rows, kept, n_rows, np.concatenate(rows),
+                      (branch_left, branch_right), tol, out, log_scale)
     return BatchQuadrature(value, err, evals, converged, log_scale)
 
 
@@ -930,8 +810,8 @@ def integrate_unit(p: float, q: float, smooth: Callable[[np.ndarray], np.ndarray
         return vals
 
     out = (np.empty(1), np.empty(1), np.empty(1, dtype=np.int64), np.zeros(1, dtype=bool))
-    _run_ladder(_one_kind(float(p), float(q), (False, False), evaluate), np.arange(1), None,
-                None, tol, out)
+    _run_ladder(float(p), float(q), (False, False), evaluate, np.arange(1), None, None, tol,
+                out)
     result = QuadratureResult(value=float(out[0][0]), abs_error_estimate=float(out[1][0]),
                               evaluations=int(out[2][0]))
     if out[3][0]:

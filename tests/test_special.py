@@ -307,12 +307,12 @@ class TestIntegrateJacobiBatch:
     def test_unsettled_rows_are_flagged(self):
         # cos(1e4 k t) oscillates faster than 128 points resolve; the plain
         # ladder hands back every row with its last estimate
-        from bibeta.special import _one_kind, _run_ladder
+        from bibeta.special import _run_ladder
         rates = np.array([1e4, 2e4, 3e4])
         out = (np.empty(3), np.empty(3), np.empty(3, dtype=np.int64), np.zeros(3, dtype=bool))
-        rest = _run_ladder(_one_kind(0.0, 0.0, (False, False), lambda t, one_minus_t, rows:
-                                     np.cos(rates[rows][:, None] * t)),
-                           np.arange(3), None, None, 1e-10, out)
+        rest = _run_ladder(0.0, 0.0, (False, False), lambda t, one_minus_t, rows:
+                           np.cos(rates[rows][:, None] * t), np.arange(3), None, None, 1e-10,
+                           out)
         assert rest.tolist() == [0, 1, 2]
         assert not out[3].any()
         assert np.all(np.isfinite(out[0]))
