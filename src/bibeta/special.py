@@ -730,9 +730,12 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
     else:
         groups = [((branch_left is not None and branch_left < _NEAR)
                    + 2 * (branch_right is not None and branch_right < _NEAR), None)]
-    if n_rows == 1 and np.ndarray not in map(type, (p, q, *map(_EXPONENT, factors))):
-        # a batch of one on float powers, as a scalar pdf: its sums stay
-        # numpy scalars
+    # a batch of one on float powers, as a scalar pdf, whose sums stay numpy
+    # scalars
+    one = n_rows == 1 and type(p) is not np.ndarray and type(q) is not np.ndarray
+    for factor in factors:
+        one = one and type(factor[2]) is not np.ndarray
+    if one:
         evaluate = _product(factors)
         per_row = None
     else:
