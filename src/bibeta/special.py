@@ -321,10 +321,11 @@ def _runs(kind, powers, m):
 
 
 def _by_batches(kind, powers, factors, n_rows):
-    """``evaluate`` for ``_run_ladder`` on rows whose powers are per row
-    (``_kinds``), or many: ``evaluate(step, layout, active, left, right)``
-    gives each rule's sum per active row, as a (rules, rows) array, and the
-    nodes a row spent.  A step runs in batches of rows of one kind, at most
+    """``evaluate`` for ``_run_ladder`` on every batch but one row on float
+    powers, with the runs ``kind`` and ``powers`` (``_kinds``) of the rows'
+    powers: ``evaluate(step, layout, active, left, right)`` gives each
+    rule's sum per active row, as a (rules, rows) array, and the nodes a
+    row spent.  A step runs in batches of rows of one kind, at most
     ``_BATCH`` nodes (rows times the step's width) and at least a row each,
     on the rules of the kind's powers, with ``np.power`` on a float
     exponent, as numpy rounds some powers (2, 0.5, -1) of an array of
