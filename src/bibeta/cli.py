@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import warnings
 
@@ -29,34 +30,51 @@ from .moments import correlation, correlation_table, moment_vector
 __all__ = ["main"]
 
 
-# rows per format call: bounds the boxed floats alive at once
-_CSV_BLOCK = 1 << 16
+# rows per format call: one block's text and boxed floats are all the CSV
+# writer holds at once, about 160 kB of text for pairs
+_CSV_BLOCK = 1 << 12
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _emit(text: str, output_path: str | None) -> None:
+def _emit(parts, output_path: str | None) -> None:
+    """Write ``parts``, a string or an iterable of strings, to the output
+    file or to stdout, one at a time as they are made."""
+    if isinstance(parts, str):
+        parts = (parts,)
     if output_path is None:
-        sys.stdout.write(text)
+        try:
+            for part in parts:
+                sys.stdout.write(part)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader closed the pipe early, as ``| head`` does: what it
+            # read is all it wanted.  stdout now goes to the null device, so
+            # the interpreter's final flush of what is left stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
     except OSError as exc:
         raise DomainError(f"cannot write output file: {exc}") from exc
 
 
-def _csv_text(header, rows) -> str:
-    # one C-level format per block of rows; "%.17g" prints what _fmt prints
+def _csv_blocks(header, rows):
+    """The CSV text of ``rows`` under ``header``: the header line, then one
+    string per block of at most ``_CSV_BLOCK`` rows, each made by one
+    C-level "%.17g" format, which prints what _fmt prints."""
     arr = np.asarray(rows, dtype=float).reshape(-1, len(header))
     row_fmt = ",".join(["%.17g"] * arr.shape[1]) + "\n"
-    parts = [",".join(header) + "\n"]
+    yield ",".join(header) + "\n"
     for start in range(0, arr.shape[0], _CSV_BLOCK):
         block = arr[start:start + _CSV_BLOCK]
-        parts.append(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        yield row_fmt * block.shape[0] % tuple(block.ravel().tolist())
 
 
 def _run_sample(args: argparse.Namespace) -> int:
@@ -67,7 +85,7 @@ def _run_sample(args: argparse.Namespace) -> int:
     else:
         draws = sample_bivariate(args.alpha, args.n, stream)
         header = ("x", "y")
-    _emit(_csv_text(header, draws), args.output_path)
+    _emit(_csv_blocks(header, draws), args.output_path)
     return 0
 
 
@@ -79,7 +97,7 @@ def _run_pdf(args: argparse.Namespace) -> int:
 
 def _run_grid(args: argparse.Namespace) -> int:
     grid = pdf_grid(args.alpha, resolution=args.resolution, tol=args.tol)
-    _emit(_csv_text(("x", "y", "density"), grid), args.output_path)
+    _emit(_csv_blocks(("x", "y", "density"), grid), args.output_path)
     return 0
 
 
@@ -98,7 +116,7 @@ def _run_corr(args: argparse.Namespace) -> int:
 def _run_table(args: argparse.Namespace) -> int:
     header = ("a11", "a10", "a01", "corr_a00_10", "corr_a00_5", "corr_a00_2",
               "corr_a00_1", "corr_a00_0.5", "corr_a00_0.1")
-    _emit(_csv_text(header, correlation_table()), args.output_path)
+    _emit(_csv_blocks(header, correlation_table()), args.output_path)
     return 0
 
 
@@ -174,7 +192,7 @@ def _run_baseline(args: argparse.Namespace) -> int:
             _emit(_fmt(pdf_libby_novick(params, *args.point)) + "\n", args.output_path)
             return 0
         draws = sample_libby_novick(params, args.n, RandomStream(args.seed))
-    _emit(_csv_text(("x", "y"), draws), args.output_path)
+    _emit(_csv_blocks(("x", "y"), draws), args.output_path)
     return 0
 
 

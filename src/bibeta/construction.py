@@ -25,7 +25,8 @@ __all__ = [
     "sample_trivariate",
 ]
 
-# rows of gamma draws the samplers hold at once: 2 MB for four shares
+# rows of gamma draws the samplers hold at once: 2 MB for four shares,
+# in one buffer per call
 _BLOCK = 1 << 16
 # samples are nudged into the open interval; astronomically rare underflow
 # of a Dirichlet share would otherwise produce an exact 0 or 1
@@ -196,9 +197,10 @@ def _row_totals(draws: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _gamma_rows(a: np.ndarray, n: int, stream: RandomStream):
-    """(n, k) independent Gamma(a_j) draws and their row totals."""
-    draws = stream.generator.standard_gamma(a, size=(n, a.size))
+def _gamma_rows(a: np.ndarray, n: int, stream: RandomStream, out=None):
+    """(n, k) independent Gamma(a_j) draws, written into ``out`` when it is
+    given, and their row totals."""
+    draws = stream.generator.standard_gamma(a, size=(n, a.size), out=out)
     return draws, _row_totals(draws)
 
 
@@ -253,17 +255,19 @@ def _sum_shares(a: np.ndarray, n: int, stream: RandomStream, cells) -> np.ndarra
     each the left-to-right sum of the shares it lists, clipped into (0, 1).
 
     The gamma draws come in blocks of ``_BLOCK`` rows, read from the stream
-    in order, so the rows match one draw of all of them; only the shares
-    some cell uses are divided by the row total, in place, and the sums are
-    written straight into the output.
+    in order, so the rows match one draw of all of them.  Every block goes
+    into one buffer, allocated once per call; only the shares some cell uses
+    are divided by the row total, in place, and the sums are written
+    straight into the output.
     """
     used = sorted({j for cell in cells for j in cell})
+    buf = np.empty((min(n, _BLOCK), a.size))
 
     def draw(m):
         out = np.empty((m, len(cells)))
         for start in range(0, m, _BLOCK):
             block = out[start:start + _BLOCK]
-            draws, totals = _gamma_rows(a, len(block), stream)
+            draws, totals = _gamma_rows(a, len(block), stream, buf[:len(block)])
             for j in used:
                 np.divide(draws[:, j], totals, out=draws[:, j])
             for col, (first, second, *rest) in enumerate(cells):

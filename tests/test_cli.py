@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bibeta
-from bibeta.baselines import LibbyNovickParams, pdf_three_param, sample_libby_novick
+from bibeta.baselines import (ArnoldParams, LibbyNovickParams, pdf_three_param,
+                              sample_arnold, sample_libby_novick)
 from bibeta.cli import _read_pairs, main
 from bibeta.construction import (AlphaBivariate, AlphaTrivariate, RandomStream,
                                  sample_bivariate, sample_trivariate)
@@ -378,24 +380,6 @@ class TestExitCodes:
 
 
 class TestCsvWriter:
-    @pytest.mark.parametrize("block", [7, 1 << 16])
-    def test_bivariate_sample(self, capsys, monkeypatch, block):
-        # a small block size crosses block boundaries, with a partial last one
-        monkeypatch.setattr(bibeta.cli, "_CSV_BLOCK", block)
-        code, out, _ = run_cli(capsys, "sample", "--alpha", "2,3,4,5", "--n", "500",
-                               "--seed", "7")
-        assert code == 0
-        draws = sample_bivariate(AlphaBivariate(2, 3, 4, 5), 500, RandomStream(7))
-        assert out == reference_csv(("x", "y"), draws)
-
-    def test_trivariate_sample(self, capsys):
-        code, out, _ = run_cli(capsys, "sample", "--alpha", "1,2,3,4,5,6,7,8",
-                               "--n", "300", "--seed", "3")
-        assert code == 0
-        draws = sample_trivariate(AlphaTrivariate(1, 2, 3, 4, 5, 6, 7, 8), 300,
-                                  RandomStream(3))
-        assert out == reference_csv(("x", "y", "z"), draws)
-
     def test_empty_sample_is_the_header(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--alpha", "1,1,1,1", "--n", "0")
         assert code == 0
@@ -410,12 +394,64 @@ class TestCsvWriter:
         assert out == reference_csv(("x", "y", "density"), grid)
         assert ",inf\n" in out
 
-    def test_table(self, capsys):
-        code, out, _ = run_cli(capsys, "table")
+    @pytest.mark.parametrize("block", [7, None], ids=["block-7", "default-block"])
+    @pytest.mark.parametrize("argv, header, rows", [
+        # 5000 rows cross the default block's boundary too
+        (("sample", "--alpha", "2,3,4,5", "--n", "5000", "--seed", "7"), ("x", "y"),
+         lambda: sample_bivariate(AlphaBivariate(2, 3, 4, 5), 5000, RandomStream(7))),
+        (("sample", "--alpha", "1,2,3,4,5,6,7,8", "--n", "300", "--seed", "3"),
+         ("x", "y", "z"),
+         lambda: sample_trivariate(AlphaTrivariate(1, 2, 3, 4, 5, 6, 7, 8), 300,
+                                   RandomStream(3))),
+        (("grid", "--alpha", "0.5,0.5,0.5,0.5", "--resolution", "5"), ("x", "y", "density"),
+         lambda: pdf_grid(AlphaBivariate(0.5, 0.5, 0.5, 0.5), resolution=5)),
+        (("table",), ("a11", "a10", "a01", "corr_a00_10", "corr_a00_5", "corr_a00_2",
+                      "corr_a00_1", "corr_a00_0.5", "corr_a00_0.1"), correlation_table),
+        (("baseline", "--family", "arnold", "--shapes", "1,1,1,1,1", "--n", "100",
+          "--seed", "2"), ("x", "y"),
+         lambda: sample_arnold(ArnoldParams(1, 1, 1, 1, 1), 100, RandomStream(2))),
+    ], ids=["sample-pairs", "sample-triples", "grid-inf", "table", "baseline-arnold"])
+    def test_file_and_stdout_hold_the_same_bytes(self, capsys, monkeypatch, tmp_path,
+                                                 block, argv, header, rows):
+        if block is not None:
+            monkeypatch.setattr(bibeta.cli, "_CSV_BLOCK", block)
+        code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        header = ("a11", "a10", "a01", "corr_a00_10", "corr_a00_5", "corr_a00_2",
-                  "corr_a00_1", "corr_a00_0.5", "corr_a00_0.1")
-        assert out == reference_csv(header, correlation_table())
+        path = tmp_path / "out.csv"
+        assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+        assert out == reference_csv(header, rows())
+
+    def test_reader_closing_the_pipe_early_exits_0(self):
+        # ``bibeta sample ... | head`` writes on after head has gone
+        src = os.path.dirname(os.path.dirname(bibeta.__file__))
+        with subprocess.Popen([sys.executable, "-m", "bibeta.cli", "sample", "--alpha",
+                               "2,3,4,5", "--n", "100000", "--seed", "7"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src)) as proc:
+            head = proc.stdout.read(20)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head.startswith(b"x,y\n")
+        assert (code, err) == (0, b"")
+
+    @pytest.mark.parametrize("argv, bound_mb", [
+        (("sample", "--alpha", "2,3,4,5", "--n", "200000"), 8.0),
+        (("sample", "--alpha", "1,2,3,4,5,6,7,8", "--n", "200000"), 12.0),
+        (("grid", "--alpha", "2,3,4,5", "--resolution", "300"), 8.0),
+    ], ids=["sample-pairs", "sample-triples", "grid"])
+    def test_output_holds_one_block_of_text(self, tmp_path, argv, bound_mb):
+        # 200000 pairs are 3.1 MB of draws and 8 MB of CSV text; the whole
+        # text and its boxed floats at once would pass the bound
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--output", str(tmp_path / "out.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= bound_mb * 2 ** 20
 
 
 class TestCsvReader:
