@@ -26,7 +26,9 @@ by sign pattern, in one kernel call per ``_CHUNK`` = 2048 points, whatever
 their patterns: the kernel takes each point's endpoint powers, and a point
 on a divergent line reads ``inf`` without reaching it.  ``pdf_grid`` is
 ``pdf_points`` on a lattice; a batch of one takes the same steps on numpy
-scalars, so all three agree bit for bit.
+scalars, so all three agree bit for bit.  What each pattern fixes is one
+read-only table per weight set (``_columns``), which ``pdf`` and
+``pdf_points`` both read; a factor whose exponent is 0 drops out on both.
 ``pdf_closed_form`` keeps the paper's hypergeometric expression (Appell F1
 off the diagonals, Gauss 2F1 on them) as a reference.  The unit square
 splits into four open triangles, cut by x = y and x + y = 1, and the closed
@@ -48,9 +50,7 @@ compensated residual, so the test is exact even where x + y rounds).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import types
 from typing import NamedTuple
 
 import numpy as np
@@ -127,7 +127,7 @@ class DensityValue:
 
     @classmethod
     def _quadrature(cls, value, error_estimate, diverged, evaluations):
-        # unchecked: _density_batch yields only values __init__ accepts
+        # unchecked: pdf passes only values __init__ accepts
         self = object.__new__(cls)
         self.value = float(value)
         self.method = "quadrature"
@@ -142,54 +142,10 @@ class DensityValue:
                 f"evaluations={self.evaluations!r})")
 
 
-class _Integrand(NamedTuple):
-    """The parts of one weight set's integrand that a sign pattern of
-    (x + y - 1, x - y) fixes, whatever the point."""
-
-    p: float                 # endpoint exponents of the rescaled integral
-    q: float
-    share_exp: float | None  # exponent of u or 1-x-y+u, unless it vanishes at t = 0
-    gap_exp: float | None    # exponent of x-u or y-u, unless it vanishes at t = 1
-    share_branch: bool       # whether the kernel maps the end of that
-    gap_branch: bool         # factor's branch point (``_maps_branch``)
-    ln_beta: float           # ln B(a11, a10, a01, a00)
-    size: float              # the point-free part of the rounding bound
-
-
 # the rounding bound of a density, relative: _ROUNDING times the magnitudes
-# its logarithm is summed from and the exponents that amplify the rounding
-# of the integrand's factors
+# its logarithm is summed from (the log-gammas of ln B(alpha) among them)
+# and the exponents that amplify the rounding of the integrand's factors
 _ROUNDING = 4.0 * float(np.finfo(float).eps)
-
-
-@functools.lru_cache(maxsize=256)
-def _integrands(alpha: AlphaBivariate) -> types.MappingProxyType:
-    """Read-only ``_Integrand`` of every sign pattern, keyed by
-    ``(sign(x + y - 1), sign(x - y))``, or None where the integral
-    diverges."""
-    weights = (alpha.a11, alpha.a10, alpha.a01, alpha.a00)
-    ln_beta = ln_beta_multi(weights)
-    ln_beta_size = (math.fsum(abs(math.lgamma(a)) for a in weights)
-                    + abs(math.lgamma(math.fsum(weights))))
-    out = {}
-    for d0, s0 in itertools.product((-1.0, 0.0, 1.0), repeat=2):
-        # which factors vanish at the ends: u or 1-x-y+u at t = 0, x-u or
-        # y-u at 1; those move into the endpoint exponents
-        sing_share, sing_comp = d0 <= 0.0, d0 >= 0.0
-        sing_x, sing_y = s0 <= 0.0, s0 >= 0.0
-        p = (alpha.a11 - 1.0 if sing_share else 0.0) + (alpha.a00 - 1.0 if sing_comp else 0.0)
-        q = (alpha.a10 - 1.0 if sing_x else 0.0) + (alpha.a01 - 1.0 if sing_y else 0.0)
-        if p <= -1.0 or q <= -1.0:
-            out[d0, s0] = None
-            continue
-        share = None if d0 == 0.0 else alpha.a11 - 1.0 if d0 > 0.0 else alpha.a00 - 1.0
-        gap = None if s0 == 0.0 else alpha.a10 - 1.0 if s0 > 0.0 else alpha.a01 - 1.0
-        size = 1.0 + ln_beta_size + abs(p) + abs(q) + sum(abs(e) for e in (share, gap) if e)
-        out[d0, s0] = _Integrand(p, q, share, gap,
-                                 share is not None and _maps_branch(share, p),
-                                 gap is not None and _maps_branch(gap, q), ln_beta, size)
-    return types.MappingProxyType(out)
-
 
 # the sign patterns (sign(d), sign(x - y)) by their code 3 * (sign(d) + 1)
 # + sign(x - y) + 1, in the order pdf_points sorts points: the four
@@ -201,39 +157,49 @@ _DIVERGENT = 9
 
 
 class _Columns(NamedTuple):
-    """``_integrands`` by rank in ``_ORDER``, in read-only arrays: ``rank``
-    maps a pattern code to its rank, or to ``_DIVERGENT`` where the integral
-    diverges; ``fields`` holds a row per field of ``_FIELDS``, a column per
-    rank.  An absent factor has exponent 0 and no map, a divergent pattern
-    zeros."""
+    """What each sign pattern of (x + y - 1, x - y) fixes of one weight
+    set's integrand, whatever the point, in read-only arrays: ``rank`` maps
+    a pattern code to its rank in ``_ORDER``, or to ``_DIVERGENT``;
+    ``fields`` holds a row per ``_FIELDS``, a column per rank."""
 
     rank: np.ndarray
     fields: np.ndarray
     ln_beta: float
 
 
-# the rows of ``_Columns.fields``: a branch flag is 1.0 or 0.0, and ``lead``
-# is the power 1 + p + q of the share range's length in the prefactor
+# the rows of ``_Columns.fields``: the endpoint exponents p and q of the
+# rescaled integral; the exponents of u or 1-x-y+u, unless it vanishes at
+# t = 0, and of x-u or y-u, unless it vanishes at t = 1, each 0 where the
+# factor is absent, as on a line; whether the kernel maps the end of that
+# factor's branch point (``_maps_branch``), 1.0 or 0.0; the point-free part
+# of the rounding bound; and the power 1 + p + q of the share range's
+# length in the prefactor.  A divergent pattern's column holds zeros.
 _FIELDS = ("p", "q", "share_exp", "gap_exp", "share_branch", "gap_branch", "size", "lead")
 
 
 @functools.lru_cache(maxsize=256)
 def _columns(alpha: AlphaBivariate) -> _Columns:
-    patterns = tuple(_integrands(alpha).values())
-    patterns = [patterns[code] for code in _ORDER]
-    rows = []
-    for name in _FIELDS:
-        row = []
-        for i in patterns:
-            v = None if i is None else (1.0 + i.p + i.q if name == "lead" else getattr(i, name))
-            row.append(0.0 if v is None else float(v))
-        rows.append(row)
-    rank = np.empty(len(_ORDER), dtype=np.int8)
-    for r, (code, i) in enumerate(zip(_ORDER, patterns)):
-        rank[code] = _DIVERGENT if i is None else r
-    fields = np.array(rows)
+    weights = a11, a10, a01, a00 = alpha.a11, alpha.a10, alpha.a01, alpha.a00
+    ln_beta_size = (math.fsum(abs(math.lgamma(a)) for a in weights)
+                    + abs(math.lgamma(math.fsum(weights))))
+    rank = np.full(len(_ORDER), _DIVERGENT, dtype=np.int8)
+    fields = np.zeros((len(_FIELDS), len(_ORDER)))
+    for r, code in enumerate(_ORDER):
+        # sign(d) + 1 and sign(x - y) + 1; a factor that vanishes at an end,
+        # u or 1-x-y+u at t = 0, x-u or y-u at 1, moves into its exponent
+        d0, s0 = divmod(code, 3)
+        p = (a11 - 1.0 if d0 <= 1 else 0.0) + (a00 - 1.0 if d0 >= 1 else 0.0)
+        q = (a10 - 1.0 if s0 <= 1 else 0.0) + (a01 - 1.0 if s0 >= 1 else 0.0)
+        if p <= -1.0 or q <= -1.0:
+            continue
+        share = 0.0 if d0 == 1 else a11 - 1.0 if d0 > 1 else a00 - 1.0
+        gap = 0.0 if s0 == 1 else a10 - 1.0 if s0 > 1 else a01 - 1.0
+        rank[code] = r
+        fields[:, r] = (p, q, share, gap, _maps_branch(share, p), _maps_branch(gap, q),
+                        1.0 + ln_beta_size + abs(p) + abs(q) + (abs(share) + abs(gap)),
+                        1.0 + p + q)
     rank.flags.writeable = fields.flags.writeable = False
-    return _Columns(rank, fields, ln_beta_multi((alpha.a11, alpha.a10, alpha.a01, alpha.a00)))
+    return _Columns(rank, fields, ln_beta_multi(weights))
 
 
 def _integrate(p, q, factors, n, ln_scale, ln_unit, ln_beta, size, tol):
@@ -241,7 +207,8 @@ def _integrate(p, q, factors, n, ln_scale, ln_unit, ln_beta, size, tol):
     integrand and its prefactor, summed in logs: ``(value, error_estimate,
     batch)``, with the kernel's ``BatchQuadrature`` last.  ``ln_scale`` is
     ``(1 + p + q) * log(scale)``, the log of the share range's length to the
-    power it carries."""
+    power it carries.  The error estimate is the kernel's, carried through
+    the prefactor, plus the rounding bound (``_ROUNDING``)."""
     batch = integrate_jacobi_batch(p, q, factors, n, tol)
     # in logs: a prefactor past the float range meets its integral first, and
     # a density that still overflows reads inf, not inf * 0 = nan in its error
@@ -256,67 +223,54 @@ def _integrate(p, q, factors, n, ln_scale, ln_unit, ln_beta, size, tol):
     return value, error, batch
 
 
-def _density_batch(alpha: AlphaBivariate, signs: tuple, x: float, y: float, d: float,
+def _density_point(columns: _Columns, rank: int, x: float, y: float, d: float,
                    tol: float):
-    """Density at a point with the sign pattern ``signs`` of (d, x - y), with
-    d = x + y - 1 from ``_sum_minus_one``: the share-range integral, rescaled
-    to (0, 1), from ``integrate_jacobi_batch``, times its prefactor, as a
-    batch of one that steps through the kernel on scalars.
+    """``_integrate``'s ``(value, error_estimate, batch)`` at a point off the
+    divergent lines, with d = x + y - 1 from ``_sum_minus_one`` and ``rank``
+    its sign pattern's rank in ``columns``: the share-range integral,
+    rescaled to (0, 1), times its prefactor, as a batch of one that steps
+    through the kernel on scalars.
 
     Every factor that vanishes at an endpoint moves into the endpoint
     exponents, which the pattern fixes; the rest stays in the smooth part,
     and the kernel gets the distance of each remaining factor's branch point
     from its end of (0, 1): |d|/scale for the share factor at t = 0,
-    |x - y|/scale for the gap factor at t = 1.  The exponents and ln B(alpha)
-    are formed once per weight set (``_integrands``).
-
-    The error estimate is the kernel's, carried through the prefactor, plus
-    a bound on the rounding: ``4 eps`` times the magnitudes the density's
-    logarithm is summed from (the log-gammas of ln B(alpha) among them) and
-    the exponents of the integrand's factors.  Returns ``(value,
-    error_estimate, converged, evaluations)`` arrays of one entry and whether
-    the integral diverges; on a divergent line ``(inf, 0, True, 0)`` without
-    reaching the kernel.  A convergent integral whose density overflows also
-    reads ``inf``.
+    |x - y|/scale for the gap factor at t = 1.  A factor whose exponent is 0
+    is 1 and drops out.
     """
-    integrand = _integrands(alpha)[signs]
-    if integrand is None:
-        return (np.full(1, math.inf), np.zeros(1), np.ones(1, dtype=bool),
-                np.zeros(1, dtype=np.int64), True)
+    p, q, share_exp, gap_exp, share_branch, gap_branch, size, lead = (
+        columns.fields[:, rank].tolist())
     # the share range runs from max(0, d) up to min(x, y); max, min, abs and
     # / on floats round as numpy's do, so a batch of one keeps its bits
-    scale = 1.0 - max(x, y) if signs[0] > 0.0 else min(x, y)
+    scale = 1.0 - max(x, y) if d > 0.0 else min(x, y)
 
     # (base, slope, exponent, from_right, branch): base + slope*t, or from
     # the top |x - y| + scale*(1-t) over max(|x - y|, scale), which keeps its
-    # digits where both are subnormal (|d| never is); scalars, so that the
-    # kernel's sums stay scalars.  A branch distance past the float range (a
-    # subnormal scale) reads inf: far.
+    # digits where both are subnormal (|d| never is); Python floats, so that
+    # the kernel's sums stay scalars.  A branch distance past the float range
+    # (a subnormal scale) reads inf: far.
     factors, ln_unit = [], 0.0
-    with np.errstate(over="ignore"):
-        if integrand.share_exp is not None:
-            factors.append((abs(d), scale, integrand.share_exp, False,
-                            abs(d) / scale if integrand.share_branch else None))
-        if integrand.gap_exp is not None:
-            gap = abs(x - y)
-            unit = max(gap, scale)
-            factors.append((gap / unit, scale / unit, integrand.gap_exp, True,
-                            gap / scale if integrand.gap_branch else None))
-            ln_unit = integrand.gap_exp * np.log(unit)
-    p, q = integrand.p, integrand.q
-    value, error, batch = _integrate(p, q, factors, 1, (1.0 + p + q) * np.log(scale), ln_unit,
-                                     integrand.ln_beta, integrand.size, tol)
-    return value, error, batch.converged, batch.evaluations, False
+    if share_exp:
+        factors.append((abs(d), scale, share_exp, False, abs(d) / scale if share_branch else None))
+    if gap_exp:
+        gap = abs(x - y)
+        unit = max(gap, scale)
+        factors.append((gap / unit, scale / unit, gap_exp, True,
+                        gap / scale if gap_branch else None))
+        ln_unit = gap_exp * np.log(unit)
+    value, error, batch = _integrate(p, q, factors, 1, lead * np.log(scale), ln_unit,
+                                     columns.ln_beta, size, tol)
+    return value[0], error[0], batch
 
 
 def _density_rows(alpha: AlphaBivariate, rank, x, y, d, tol: float):
-    """``_density_batch`` for 1-D arrays of points off the divergent lines,
-    with their pattern ranks (``_Columns``), in one kernel call: the scalar
+    """``_density_point`` for 1-D arrays of points off the divergent lines,
+    with their pattern ranks in ``_columns``, in one kernel call: the scalar
     path's operations, per point, on columns against the node row, with the
-    pattern's fields looked up per point (``_columns``).  A factor absent on
-    a line has exponent 0 there, so it is 1, and a branch point the kernel
-    does not map is at ``inf``.  Returns per-point ``(value, error_estimate,
-    converged, evaluations)``."""
+    pattern's fields looked up per point.  A factor whose exponent is 0 is
+    1, and the kernel drops it; a branch point the kernel does not map is at
+    ``inf``.  Returns per-point ``(value, error_estimate, converged,
+    evaluations)``."""
     columns = _columns(alpha)
     p, q, share_exp, gap_exp, share_branch, gap_branch, size, lead = columns.fields[:, rank]
     scale = np.where(d > 0.0, 1.0 - np.maximum(x, y), np.minimum(x, y))
@@ -347,10 +301,15 @@ def pdf(alpha: AlphaBivariate, x: float, y: float, tol: float = 1e-10) -> Densit
     tol = _check_positive("tol", tol)
     x, y = _check_point(x, y)
     d = _sum_minus_one(x, y)
-    value, error, converged, evaluations, diverged = _density_batch(
-        alpha, (np.sign(d), np.sign(x - y)), x, y, d, tol)
-    result = DensityValue._quadrature(value[0], error[0], diverged, evaluations[0])
-    if not converged[0]:
+    columns = _columns(alpha)
+    # the rank of the pattern code 3 * (sign(d) + 1) + sign(x - y) + 1
+    rank = columns.rank[(0 if d < 0.0 else 3 if d == 0.0 else 6)
+                        + (0 if x < y else 1 if x == y else 2)]
+    if rank == _DIVERGENT:
+        return DensityValue._quadrature(math.inf, 0.0, True, 0)
+    value, error, batch = _density_point(columns, rank, x, y, d, tol)
+    result = DensityValue._quadrature(value, error, False, batch.evaluations[0])
+    if not batch.converged[0]:
         raise ConvergenceError(f"density at ({x!r}, {y!r}) did not reach tol={tol:g}",
                                result=result)
     return result

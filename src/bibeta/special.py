@@ -720,29 +720,23 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
     out = (value, err, evals, converged)
     branch_left, branch_right = _branches(factors)
     # rows split over the layouts of their near ends; each group runs alone
-    if isinstance(branch_left, np.ndarray) or isinstance(branch_right, np.ndarray):
-        key = np.zeros(n_rows, dtype=np.intp)
-        for bit, branch in ((1, branch_left), (2, branch_right)):
-            if branch is not None:
-                key += bit * (branch < _NEAR)
+    key = ((branch_left is not None and branch_left < _NEAR)
+           + 2 * (branch_right is not None and branch_right < _NEAR))
+    groups = [(key, None)]
+    if isinstance(key, np.ndarray):
         counts = np.bincount(key, minlength=4)
         groups = ([(k, np.flatnonzero(key == k)) for k in np.flatnonzero(counts).tolist()]
                   if counts[0] < n_rows else [(0, None)])
-    else:
-        groups = [((branch_left is not None and branch_left < _NEAR)
-                   + 2 * (branch_right is not None and branch_right < _NEAR), None)]
+    columns = (p, q, *map(_EXPONENT, factors))
     # a batch of one on float powers, as a scalar pdf, whose sums stay numpy
     # scalars
-    one = n_rows == 1 and type(p) is not np.ndarray and type(q) is not np.ndarray
-    for factor in factors:
-        one = one and type(factor[2]) is not np.ndarray
-    if one:
+    if n_rows == 1 and np.ndarray not in map(type, columns):
         evaluate = _product(factors)
         per_row = None
     else:
         if not n_rows:
             return BatchQuadrature(value, err, evals, converged, None)
-        per_row = _kinds((p, q, *map(_EXPONENT, factors)), n_rows)
+        per_row = _kinds(columns, n_rows)
         evaluate = _by_batches(*per_row, factors, n_rows)
     rest = []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -761,13 +755,9 @@ def integrate_jacobi_batch(endpoint_exponent_left, endpoint_exponent_right,
         return BatchQuadrature(value, err, evals, converged, None)
     log_scale = np.zeros(n_rows)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        if per_row is None:
-            _run_peak(p, q, factors, n_rows, rest, (branch_left, branch_right), tol, out,
-                      log_scale)
-            return BatchQuadrature(value, err, evals, converged, log_scale)
-        # the rest by their powers; a factor whose exponent is 0 there is 1
-        # and drops out
-        kind, powers = per_row
+        # the rest by their powers, a batch of one on float powers as one
+        # run; a factor whose exponent is 0 there is 1 and drops out
+        kind, powers = per_row or (None, [columns])
         k = np.zeros(rest.size, dtype=np.intp) if kind is None else kind[rest]
         groups = {}
         for i in np.flatnonzero(np.bincount(k, minlength=len(powers))).tolist():

@@ -56,7 +56,7 @@ POINTS = st.one_of(st.tuples(INSIDE, INSIDE),
 # integral to 1e-10 relative, with its error_estimate at least the true
 # error.
 PINNED_SETS = [(2.0, 3.0, 4.0, 5.0), (0.5, 0.7, 0.8, 0.6), (0.4, 0.3, 0.4, 0.5),
-               (10.0, 0.1, 0.1, 10.0)]
+               (10.0, 0.1, 0.1, 10.0), (200.0, 1.0, 300.0, 400.0)]
 PINNED = [
     (0, 0.2, 0.35, "0x1.155ee085ae834p+2", "0x1.e0140642fcbd0p-43", 24),
     (0, 0.45, 0.15, "0x1.11f7442a76beep-1", "0x1.ec9d25fa6add5p-46", 24),
@@ -118,6 +118,16 @@ PINNED = [
     (3, 0.25, 0.25, "inf", "0x0.0p+0", 0),
     (3, 0.375, 0.625, "0x1.2291c2cd94d0fp-7", "0x1.000651eb1f6f2p-50", 24),
     (3, 0.5, 0.5, "inf", "0x0.0p+0", 0),
+    # large weights, one of them 1: the integrand leaves the float range, so
+    # the kernel sums these in logs round its peak
+    (4, 0.5150190498212992, 0.2900853524863788, "0x1.ad113f10260fap-617",
+     "0x1.71bc2102a34fap-650", 376),
+    (4, 0.5032966862425912, 0.43793371113213964, "0x1.75109999da474p-399",
+     "0x1.4d42abcc89babp-432", 376),
+    (4, 0.6805211081369064, 0.4645478728816999, "0x1.624e399ffc3bdp-763",
+     "0x1.322c8def9f707p-796", 376),
+    (4, 0.09410927526509337, 0.8380282654441378, "0x1.f7128ef6d8f64p-475",
+     "0x1.66aa06d188d9ep-511", 376),
 ]
 
 
@@ -539,11 +549,13 @@ class TestPdfGrid:
 
 
 class TestPdfPoints:
-    # the last two give exponents 0.5, 2 and 0 (a weight of 1), powers that
-    # numpy rounds otherwise for a float exponent than for an array of them
+    # the fifth and sixth give exponents 0.5, 2 and 0 (a weight of 1), powers
+    # that numpy rounds otherwise for a float exponent than for an array of
+    # them; the last sends points to the peak layout with an exponent of 0
     @pytest.mark.parametrize("weights", [(2.0, 3.0, 4.0, 5.0), (0.5, 0.7, 0.8, 0.6),
                                          (0.4, 0.3, 0.4, 0.5), (10.0, 0.1, 0.1, 10.0),
-                                         (1.5, 3.0, 1.0, 0.7), (3.0, 1.5, 0.5, 3.0)])
+                                         (1.5, 3.0, 1.0, 0.7), (3.0, 1.5, 0.5, 3.0),
+                                         (200.0, 1.0, 300.0, 400.0)])
     def test_agrees_with_scalar_pdf(self, weights):
         a = AlphaBivariate(*weights)
         rng = np.random.default_rng(5)
