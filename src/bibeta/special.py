@@ -37,12 +37,12 @@ still unsettled at 128 points, an overflowing one among them, after it.
 Both are summed in logs, ``exp(ln W + h - scale)`` per node with a per-row
 log scale that the result carries, on pieces centred on the integrand's
 peak, as in Laplace's method (de Bruijn, Asymptotic Methods in Analysis,
-1958, ch. 4): a safeguarded Newton iteration on h', h the log of the
-integrand, finds the peak t* from the best node of a 128-point rule, and
-the cuts beside it lie where h has fallen by K**2 / 2, at t* -+ K sigma for
-a Gaussian of width sigma, with K set by ``tol``.  The pieces take the same
-ladder and stopping rule.  A near end keeps its map: the search runs in the
-mapped variable, on the half of (0, 1) at that end.  ``integrate_unit``
+1958, ch. 4): h, the log of the integrand, is taken at the nodes of a
+128-point rule, and the cuts lie at its best node and at the nodes just
+beyond those where h is within K**2 / 2 of it, as it is within K sigma of
+a Gaussian's peak, with K set by ``tol``.  The pieces take the same ladder
+and stopping rule.  A near end keeps its map: the rule runs in the mapped
+variable, on the half of (0, 1) at that end.  ``integrate_unit``
 runs the plain ladder on a batch of one, for a smooth factor given as a
 callable.
 
@@ -128,8 +128,6 @@ _CUT = 0.125
 # rule, which settles it within the ladder while the map or a Jacobi weight
 # of that power may not
 _SMOOTH = 5.0
-# steps of the peak search's Newton iteration, at most
-_STEPS = 40
 # nodes a step of the ladder spends on a row, without a mapped end
 _WIDTH = tuple(sum(rules) for rules in _LADDER)
 # nodes that one step evaluates at once, at most: 64 KB a table.  Larger
@@ -137,8 +135,6 @@ _WIDTH = tuple(sum(rules) for rules in _LADDER)
 # to the system when freed and maps it again for the next batch (about 90
 # minor faults a 1600-point grid at 128 KB, under glibc on x86_64)
 _BATCH = 1 << 13
-# where the peak search looks at the slope of an end
-_END = 1e-9
 # a ladder sum below _UNDERFLOW / tol may have lost the digits of its terms
 # to underflow, and does not settle
 _UNDERFLOW = 1e3 * float(np.finfo(float).tiny)
@@ -477,128 +473,74 @@ def _branches(factors):
     return near
 
 
-def _slopes(t, one_minus_t, p, q, columns):
-    """``(h, h', h'')`` of ``h = p log t + q log(1-t) + sum e log(base + slope
-    * u)``, the log of the integrand, against t; ``columns`` holds ``(base,
-    slope, e, from_right)`` per factor, shaped to broadcast against t."""
-    h = d1 = d2 = 0.0
+def _log_integrand(t, one_minus_t, p, q, columns):
+    """``h = p log t + q log(1-t) + sum e log(base + slope * u)``, the log of
+    the integrand; ``columns`` holds ``(base, slope, e, from_right)`` per
+    factor, shaped to broadcast against t."""
+    h = 0.0
     if p:
-        h, d1, d2 = p * np.log(t), p / t, -p / (t * t)
+        h = p * np.log(t)
     if q:
-        h, d1, d2 = (h + q * np.log(one_minus_t), d1 - q / one_minus_t,
-                     d2 - q / (one_minus_t * one_minus_t))
+        h = h + q * np.log(one_minus_t)
     for base, slope, e, from_right in columns:
-        f = base + slope * (one_minus_t if from_right else t)
-        r = slope / f
-        h, d1, d2 = h + e * np.log(f), d1 - e * r if from_right else d1 + e * r, d2 - e * r * r
-    return h, d1, d2
+        h = h + e * np.log(base + slope * (one_minus_t if from_right else t))
+    return h
 
 
 def _segment(kind, lo, hi, p, q, delta):
     """The variable v in (0, 1) of the segment (lo, hi) of (0, 1): ``(r0, r1,
     at)``, with r0 and r1 the end powers that a rule touching v = 0 or v = 1
-    takes into its Jacobi weight, and ``at(v, 1-v)`` giving t, 1-t,
-    log|dt/dv|, dt/dv, d2t/dv2 and d/dv log|dt/dv|.  A segment at a near end
-    (``kind`` "left" or "right") runs under that end's map ``s = delta *
-    expm1(v * L)``, ``s`` the distance to the end, ``L = log1p((hi - lo) /
-    delta)``; its rules take the end power at v = 0."""
+    takes into its Jacobi weight, and ``at(v, 1-v)`` giving t, 1-t and
+    log|dt/dv|.  A segment at a near end (``kind`` "left" or "right") runs
+    under that end's map ``s = delta * expm1(v * L)``, ``s`` the distance to
+    the end, ``L = log1p((hi - lo) / delta)``; its rules take the end power
+    at v = 0."""
     if kind is None:
         length = hi - lo
 
         def at(v, one_minus_v):
-            return (lo + length * v, (1.0 - hi) + length * one_minus_v, math.log(length),
-                    length, 0.0, 0.0)
+            return lo + length * v, (1.0 - hi) + length * one_minus_v, math.log(length)
         return (p if lo == 0.0 and p + 1.0 < _SMOOTH else 0.0,
                 q if hi == 1.0 and q + 1.0 < _SMOOTH else 0.0, at)
     log_span = np.log1p((hi - lo) / delta)
-    sign = 1.0 if kind == "left" else -1.0
 
     def at(v, one_minus_v):
         s = delta * np.expm1(v * log_span)
-        jac = log_span * (delta + s)
         t, one_minus_t = (s, 1.0 - s) if kind == "left" else (1.0 - s, s)
-        return t, one_minus_t, np.log(jac), sign * jac, sign * log_span * jac, log_span
+        return t, one_minus_t, np.log(log_span * (delta + s))
     return p if kind == "left" else q, 0.0, at
 
 
-def _segment_slopes(v, segment, p, q, columns):
-    """``(H, H', H'')`` against v of the log of the integrand in a segment's
-    variable, times dt/dv, less the end powers its rules take."""
-    r0, r1, at = segment
-    t, one_minus_t, log_jac, jac, jac2, dlog = at(v, 1.0 - v)
-    h, d1, d2 = _slopes(t, one_minus_t, p, q, columns)
-    h, d1, d2 = h + log_jac, d1 * jac + dlog, d2 * jac * jac + d1 * jac2
-    if r0:
-        h, d1, d2 = h - r0 * np.log(v), d1 - r0 / v, d2 + r0 / (v * v)
-    if r1:
-        h, d1, d2 = (h - r1 * np.log1p(-v), d1 + r1 / (1.0 - v),
-                     d2 + r1 / ((1.0 - v) * (1.0 - v)))
-    return h, d1, d2
-
-
-def _reach(origin, side, top, slopes, reach):
-    """The point towards ``side`` from ``origin`` where H has fallen by
-    ``reach**2 / 2`` from ``top``, its value there, as it has ``reach``
-    sigma away for a Gaussian, or the end of (0, 1) where H does not fall
-    that far: by bisection on the log of the distance, over 60 octaves
-    below the distance to the end, to 1/64 of an octave."""
-    floor = top - 0.5 * reach * reach
-    span = 1.0 - origin if side > 0 else origin
-    short, far = np.full_like(origin, -60.0), np.zeros_like(origin)
-    for _ in range(12):
-        mid = 0.5 * (short + far)
-        fell = slopes(origin + side * span * np.exp2(mid))[0] <= floor
-        short, far = np.where(fell, short, mid), np.where(fell, mid, far)
-    return origin + side * span * np.exp2(far)
-
-
-def _cuts(start, slopes, reach):
-    """Three cuts of a segment's variable round each row's peak, for
-    ``slopes(v) = (H, H', H'')``.
-
-    An end is a peak where H falls away from it (both ends, where H dips
-    between them); otherwise a Newton iteration on H' from ``start`` finds
-    the peak t* inside, keeping the bracket where H' changes sign and
-    bisecting it where a step would leave it or H'' is not negative.  The
-    peak's pieces span the points on either side where H has fallen
-    (``_reach``), and the cuts are their ends and t*; where the span reaches
-    an end of the segment, the cuts grade towards it by halves instead, so
-    that no piece ends just short of an end power."""
-    ends = np.full_like(start, _END), np.full_like(start, 1.0 - _END)
-    left, right = slopes(ends[0]), slopes(ends[1])
-    at_left, at_right = left[1] <= 0.0, right[1] >= 0.0
-    inside = ~(at_left | at_right)
-    # a row stops moving once its step is below 1e-3 of its width, so that
-    # it takes the same steps in any batch
-    t, lo, hi, moving = start, np.zeros_like(start), np.ones_like(start), inside
-    for _ in range(_STEPS):
-        _, d1, d2 = slopes(t)
-        rising = d1 > 0.0
-        lo, hi = np.where(rising, t, lo), np.where(rising, hi, t)
-        step = d1 / d2
-        newton = t - step
-        ok = (d2 < 0.0) & (lo < newton) & (newton < hi)
-        moving = moving & ~(ok & (abs(step) * np.sqrt(-d2) <= 1e-3))
-        if not moving.any():
-            break
-        t = np.where(moving, np.where(ok, newton, 0.5 * (lo + hi)), t)
-    top = slopes(t)[0]
-    from_0 = _reach(ends[0], 1.0, left[0], slopes, reach) if at_left.any() else 1.0
-    from_1 = _reach(ends[1], -1.0, right[0], slopes, reach) if at_right.any() else 0.0
-    # the span of the peak's pieces
-    lo, hi = (_reach(t, side, top, slopes, reach) if inside.any() else t
-              for side in (-1.0, 1.0))
-    lo = np.where(inside, lo, np.where(at_left, 0.0, from_1))
-    hi = np.where(inside, hi, np.where(at_right, 1.0, from_0))
-    to_0, to_1 = lo <= 0.0, hi >= 1.0
+def _cuts(v, terms, ln_w, reach):
+    """Three cuts of a segment's variable round each row's peak, from the
+    ``terms`` of ``_piece_terms`` at the nodes ``v`` of a rule whose weights
+    have the logs ``ln_w``: the best node, and the nodes just outside those
+    held, where H = ``terms - ln_w``, the log of the integrand in the
+    segment's variable less the end powers the rule takes, is within
+    ``reach**2 / 2`` of the best.  Where the held nodes reach an end of the
+    segment, the cuts grade towards it by quarters, so that no piece ends
+    just short of an end power; where they reach both ends round a dip, the
+    cuts are the first and last nodes that fell and their midpoint."""
+    h = terms - ln_w
+    rows = np.arange(h.shape[0])
+    best = np.argmax(h, axis=-1)
+    held = h > (h[rows, best] - 0.5 * reach * reach)[:, None]
+    held[rows, best] = True
+    end = v.size - 1
+    first_held = np.argmax(held, axis=-1)
+    last_held = end - np.argmax(held[:, ::-1], axis=-1)
+    lo, hi = v[np.maximum(first_held - 1, 0)], v[np.minimum(last_held + 1, end)]
+    to_0, to_1 = first_held == 0, last_held == end
     cuts = (np.where(to_0, np.where(to_1, 0.25, 0.25 * hi), lo),
             np.where(to_0, np.where(to_1, 0.5, 0.5 * hi),
-                     np.where(to_1, 0.5 + 0.5 * lo, np.where(inside, t, 0.5 * (lo + hi)))),
+                     np.where(to_1, 0.5 + 0.5 * lo, v[best])),
             np.where(to_1, np.where(to_0, 0.75, 0.75 + 0.25 * lo), hi))
-    # two end peaks with a dip between them: a cut at the edge of each
-    apart = at_left & at_right & (from_0 < from_1)
-    return [np.where(apart, c, cut)
-            for c, cut in zip((from_0, 0.5 * (from_0 + from_1), from_1), cuts)]
+    fell = ~held
+    dip = to_0 & to_1 & fell.any(axis=-1)
+    first_fell = v[np.argmax(fell, axis=-1)]
+    last_fell = v[end - np.argmax(fell[:, ::-1], axis=-1)]
+    return [np.where(dip, c, cut)[:, None] for c, cut in
+            zip((first_fell, 0.5 * (first_fell + last_fell), last_fell), cuts)]
 
 
 def _piece_terms(n, segment, lo, hi, p, q, columns):
@@ -613,22 +555,22 @@ def _piece_terms(n, segment, lo, hi, p, q, columns):
     lo = 0.0 if lo is None else lo
     hi = 1.0 if hi is None else hi
     length = hi - lo
-    t, one_minus_t, log_jac, *_ = at(lo + length * x, (1.0 - hi) + length * one_minus_x)
+    t, one_minus_t, log_jac = at(lo + length * x, (1.0 - hi) + length * one_minus_x)
     ln_j = np.log(w) + np.log(length) + log_jac
     if inner_p:
         ln_j = ln_j - inner_p * np.log(x)
     if inner_q:
         ln_j = ln_j - inner_q * np.log(one_minus_x)
-    return ln_j + _slopes(t, one_minus_t, p, q, columns)[0]
+    return ln_j + _log_integrand(t, one_minus_t, p, q, columns)
 
 
 def _run_peak(p, q, factors, n_rows, rows, branches, tol, out, log_scale):
     """Integrate the rows ``rows`` in logs on pieces centred on their peaks:
     (0, 1), or where an end is near, (0, 1/2) and (1/2, 1) with the near
-    ones under their maps, each cut in four (``_cuts``).  Writes the rows'
-    estimates, errors and log scales into ``out`` and ``log_scale``, marks
-    the settled ones and adds the nodes spent, 128 per segment for the
-    search."""
+    ones under their maps, each cut in four at nodes of a 128-point rule on
+    the segment (``_cuts``).  Writes the rows' estimates, errors and log
+    scales into ``out`` and ``log_scale``, marks the settled ones and adds
+    the nodes spent, the 128 per segment that place the cuts among them."""
     def per_row(v):
         return np.broadcast_to(np.reshape(np.asarray(v, dtype=float), (-1, 1)), (n_rows, 1))[rows]
 
@@ -646,12 +588,11 @@ def _run_peak(p, q, factors, n_rows, rows, branches, tol, out, log_scale):
                              if any(ends) else [(None, 0.0, 1.0)]):
             segment = _segment(kind, lo, hi, p, q,
                                None if kind is None else delta[kind == "right"][group])
-            # the best node of a 128-point rule on the segment starts the search
+            # a 128-point rule on the segment places the cuts
             terms = np.broadcast_to(_piece_terms(n, segment, None, None, p, q, cols),
                                     (group.size, n))
-            start = _jacobi_rule(n, *segment[:2])[0][np.argmax(terms, axis=-1)][:, None]
-            cuts = [None, *_cuts(start, lambda v: _segment_slopes(v, segment, p, q, cols),
-                                 reach), None]
+            v, _, w = _jacobi_rule(n, *segment[:2])
+            cuts = [None, *_cuts(v, terms, np.log(w), reach), None]
             pieces += [(segment, lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:])]
             out[2][rows[group]] += n
         _peak_ladder(p, q, pieces, cols, tol, rows[group], out, log_scale)

@@ -373,6 +373,17 @@ class TestHyp2F1:
             exact = float(mpmath.hyp2f1(*abc, z))
         assert hyp2f1(*abc, z) == pytest.approx(exact, rel=1e-9)
 
+    def test_a_peak_in_log_distance_from_the_mapped_end(self):
+        # the integrand leaves the float range and peaks about 3.5e-9 from
+        # t = 1, inside the piece of (0, 1) that the kernel maps there: the
+        # peak layout cuts it at the nodes of its 128-point rule
+        import mpmath
+        abcz = (96.38047180571812, 0.01953945081459193, 84.62191154184517, 0.9999999994670301)
+        with mpmath.workdps(30):
+            exact = float(mpmath.hyp2f1(*abcz))
+        assert exact == pytest.approx(8.103110853492315e+91, rel=1e-15)
+        assert hyp2f1(*abcz) == pytest.approx(exact, rel=1e-9)
+
     def test_rejects_outside_domain(self):
         with pytest.raises(DomainError):
             hyp2f1(1.0, 2.0, 1.5, 0.3)     # c <= b
@@ -441,6 +452,22 @@ class TestAppellF1:
                                (1 - z1_) / z1_))
             exact = float(integral / mpmath.beta(a_, c_ - a_))
         assert appell_f1(a, b1, b2, c, z1, z2) == pytest.approx(exact, rel=1e-9)
+
+    # large a and c with z1 within 1e-9 of 1: the integrand leaves the float
+    # range and takes the peak layout.  Each value is the Euler integral in
+    # 40-digit mpmath, cut at 1/400 steps, at 10**-k from either end and at
+    # 2**-k round the best of some 4700 grid points (two such cut sets, at 40
+    # and 45 digits, agree to 1e-35)
+    @pytest.mark.parametrize("tup,exact", [
+        ((725.1845228405638, 134.02146036677584, -181.30697167910756, 826.0287146082453,
+          0.9999999999985899, 0.9975219214629064), 3.351625788578006e+21),
+        ((118.56142493811338, 115.0208897894907, -23.2347443588082, 225.9217486595083,
+          0.9999999997536543, 0.9957505336158498), 4.1293273148990704e+74),
+        ((508.91687596386015, 153.0588948722081, -238.733070230554, 517.828424626533,
+          0.9999999999985906, 0.9999999890215979), 1.8685185232623352e-95),
+    ])
+    def test_large_parameters_near_the_branch_point(self, tup, exact):
+        assert appell_f1(*tup) == pytest.approx(exact, rel=1e-9)
 
     def test_rejects_outside_domain(self):
         with pytest.raises(DomainError):
